@@ -140,29 +140,37 @@ TEST(CorunHarnessTest, TenantWithoutSourceIsRejected)
 /**
  * Acceptance contract: a 1-core co-run exports byte-for-byte the
  * single-core metric tree — same paths, same values, no corun.*
- * summary, no core0 prefix. Only wall-clock gauges may differ.
+ * summary, no core0 prefix. Only wall-clock gauges may differ. Holds
+ * under both warmup modes: the functional-mode flag on the shared LLC
+ * must clear at the same instruction either way.
  */
 TEST(CorunIdentity, OneCoreCorunMatchesSingleCoreRun)
 {
-    const SimConfig cfg = corunConfig();
-    auto workload = makeHotCold();
-    const SimResult solo = runOne(*workload, cfg);
-    MetricsRegistry solo_metrics;
-    solo.exportMetrics(solo_metrics);
-    // runOne() adds the timing gauges after export; mirror the shape.
-    solo_metrics.setGauge("sim.wall_seconds", 0.0);
-    solo_metrics.setGauge("sim.throughput_mips", 0.0);
+    for (const WarmupMode mode :
+         {WarmupMode::Timed, WarmupMode::Functional}) {
+        SCOPED_TRACE(mode == WarmupMode::Timed ? "timed" : "functional");
+        SimConfig cfg = corunConfig();
+        cfg.warmupMode = mode;
+        auto workload = makeHotCold();
+        const SimResult solo = runOne(*workload, cfg);
+        MetricsRegistry solo_metrics;
+        solo.exportMetrics(solo_metrics);
+        // runOne() adds the timing gauges after export; mirror the
+        // shape.
+        solo_metrics.setGauge("sim.wall_seconds", 0.0);
+        solo_metrics.setGauge("sim.throughput_mips", 0.0);
 
-    CorunRunOptions options;
-    options.config.base = cfg;
-    auto report_or =
-        runCorun({CorunTenant::fromWorkload(makeHotCold())}, options);
-    ASSERT_TRUE(report_or.ok()) << report_or.status().message();
-    MetricsRegistry corun_metrics;
-    report_or.value().exportMetrics(corun_metrics);
+        CorunRunOptions options;
+        options.config.base = cfg;
+        auto report_or =
+            runCorun({CorunTenant::fromWorkload(makeHotCold())}, options);
+        ASSERT_TRUE(report_or.ok()) << report_or.status().message();
+        MetricsRegistry corun_metrics;
+        report_or.value().exportMetrics(corun_metrics);
 
-    EXPECT_EQ(strippedJson(solo_metrics, "identity"),
-              strippedJson(corun_metrics, "identity"));
+        EXPECT_EQ(strippedJson(solo_metrics, "identity"),
+                  strippedJson(corun_metrics, "identity"));
+    }
 }
 
 /** True for metric paths whose value depends on retire-clock timing

@@ -2,16 +2,18 @@
  * @file
  * Golden metric-tree byte-identity test.
  *
- * Runs a small deterministic (workload x policy) sweep, strips the
- * wall-clock noise, serializes the full metric tree to canonical JSON
- * and pins its Checksum64 digest. Any change to a simulated statistic
- * anywhere in the stack — cache bookkeeping, policy decisions, DRAM
- * timing, metric export — shifts the digest and fails here.
+ * Runs small deterministic (workload x policy) sweeps — the plain
+ * grid, the Belady oracle cells and the --fast-sweep grid — strips
+ * the wall-clock noise, serializes each full metric tree to canonical
+ * JSON and pins its Checksum64 digest. Any change to a simulated
+ * statistic anywhere in the stack — cache bookkeeping, policy
+ * decisions, DRAM timing, metric export — shifts a digest and fails
+ * here.
  *
  * This is the safety net for hot-path rewrites (SoA tag stores,
  * devirtualized dispatch, batched decode): such refactors must change
  * wall-clock only, never a simulated number. If you changed simulated
- * behavior *on purpose*, re-pin kGoldenDigest with the value printed
+ * behavior *on purpose*, re-pin the digest with the value printed
  * by the failing run and say so in the commit message.
  */
 
@@ -40,6 +42,16 @@ namespace {
 constexpr std::uint64_t kGoldenDigest = 0xdcd7b86b2cb67e63ull;
 
 /**
+ * Pinned digests of the Belady cells (same suite and config) and of
+ * the --fast-sweep grid (kFastSweepPolicies). Both were computed on
+ * the two-driver code, before co-run folded into Simulator, and must
+ * be reproduced bit-for-bit like kGoldenDigest.
+ */
+constexpr std::uint64_t kBeladyGoldenDigest = 0x57043968fd13c734ull;
+
+constexpr std::uint64_t kFastSweepGoldenDigest = 0x955dbec35ca67cbeull;
+
+/**
  * The sweep grid: two synthetic kernels with distinct access-pattern
  * classes (cyclic thrash, skewed hot/cold) over a shrunken hierarchy,
  * crossed with policies covering every devirtualized hit-update fast
@@ -48,6 +60,11 @@ constexpr std::uint64_t kGoldenDigest = 0xdcd7b86b2cb67e63ull;
  */
 const std::vector<std::string> kGoldenPolicies = {
     "lru", "fifo", "nru", "srrip", "drrip", "ship",
+};
+
+/** The fast-sweep grid: the same policies plus the Belady oracle. */
+const std::vector<std::string> kFastSweepPolicies = {
+    "lru", "fifo", "nru", "srrip", "drrip", "ship", "belady",
 };
 
 std::vector<std::shared_ptr<Workload>>
@@ -130,36 +147,69 @@ stripTiming(const MetricsRegistry &in)
     return out;
 }
 
+/** One pinned sweep: the grid it runs and the digest it must hit. */
+struct GoldenCase
+{
+    const char *name;
+    std::vector<std::string> policies;
+    /** SuiteRunner::setFastSweep: functional warmup + 1/16 sampling. */
+    bool fastSweep;
+    std::uint64_t digest;
+};
+
+/**
+ * Every pinned grid. The plain grid is the original PR 7 pin; the
+ * Belady cell pins the injected-policy path (two passes, oracle
+ * policy handed to the simulator) and the fast-sweep grid pins the
+ * functional-warmup hand-over and LLC set-sampling, including
+ * Belady's all-functional first pass.
+ */
+const std::vector<GoldenCase> &
+goldenCases()
+{
+    static const std::vector<GoldenCase> cases = {
+        {"plain", kGoldenPolicies, false, kGoldenDigest},
+        {"belady", {"belady"}, false, kBeladyGoldenDigest},
+        {"fast-sweep", kFastSweepPolicies, true, kFastSweepGoldenDigest},
+    };
+    return cases;
+}
+
 TEST(GoldenMetrics, MiniSweepMetricTreeDigestIsPinned)
 {
-    SuiteRunner runner(goldenConfig(), /*jobs=*/1);
-    runner.setVerbose(false);
-    const SweepReport report =
-        runner.runChecked(goldenSuite(), kGoldenPolicies);
-    ASSERT_TRUE(report.allOk());
-    ASSERT_EQ(report.outcomes.size(),
-              2 * kGoldenPolicies.size());
+    for (const GoldenCase &c : goldenCases()) {
+        SCOPED_TRACE(c.name);
+        SuiteRunner runner(goldenConfig(), /*jobs=*/1);
+        runner.setVerbose(false);
+        runner.setFastSweep(c.fastSweep);
+        const SweepReport report =
+            runner.runChecked(goldenSuite(), c.policies);
+        ASSERT_TRUE(report.allOk());
+        ASSERT_EQ(report.outcomes.size(), 2 * c.policies.size());
 
-    MetricsDocument doc;
-    doc.name = "golden";
-    doc.wallMs = 0.0;
-    doc.metrics = stripTiming(report.metrics);
-    const std::string json = metricsToJson(doc);
+        MetricsDocument doc;
+        doc.name = "golden";
+        doc.wallMs = 0.0;
+        doc.metrics = stripTiming(report.metrics);
+        const std::string json = metricsToJson(doc);
 
-    Checksum64 sum;
-    sum.update(json.data(), json.size());
-    const std::uint64_t digest = sum.digest();
+        Checksum64 sum;
+        sum.update(json.data(), json.size());
+        const std::uint64_t digest = sum.digest();
 
-    char actual[32];
-    std::snprintf(actual, sizeof(actual), "0x%016llx",
-                  static_cast<unsigned long long>(digest));
-    EXPECT_EQ(digest, kGoldenDigest)
-        << "Golden metric tree changed: digest is now " << actual
-        << " over " << json.size() << " JSON bytes.\n"
-        << "A hot-path refactor must NOT get here (it may only change "
-        << "wall-clock). If the simulated-behavior change is "
-        << "intentional, re-pin kGoldenDigest in "
-        << "tests/test_golden_metrics.cc and justify it in the commit.";
+        char actual[32];
+        std::snprintf(actual, sizeof(actual), "0x%016llx",
+                      static_cast<unsigned long long>(digest));
+        EXPECT_EQ(digest, c.digest)
+            << "Golden metric tree '" << c.name << "' changed: digest is "
+            << "now " << actual << " over " << json.size()
+            << " JSON bytes.\n"
+            << "A hot-path refactor must NOT get here (it may only "
+            << "change wall-clock). If the simulated-behavior change is "
+            << "intentional, re-pin the digest in "
+            << "tests/test_golden_metrics.cc and justify it in the "
+            << "commit.";
+    }
 }
 
 /**

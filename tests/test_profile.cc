@@ -377,22 +377,28 @@ TEST(ProfileIntegration, OneCoreCorunProfileMatchesSingleRun)
     // The shared-LLC profiler resets at the all-cores-warm barrier,
     // which for one core is the single core's warmup boundary — so a
     // profiled 1-core co-run must export the same profile.* bytes as
-    // a plain run.
-    auto workload = profiledWorkload();
-    const SimResult solo = runOne(*workload, profiledConfig());
-    MetricsRegistry solo_metrics;
-    solo.exportMetrics(solo_metrics);
+    // a plain run, under either warmup mode.
+    for (const WarmupMode mode :
+         {WarmupMode::Timed, WarmupMode::Functional}) {
+        SCOPED_TRACE(mode == WarmupMode::Timed ? "timed" : "functional");
+        SimConfig cfg = profiledConfig();
+        cfg.warmupMode = mode;
+        auto workload = profiledWorkload();
+        const SimResult solo = runOne(*workload, cfg);
+        MetricsRegistry solo_metrics;
+        solo.exportMetrics(solo_metrics);
 
-    CorunRunOptions options;
-    options.config.base = profiledConfig();
-    auto report_or =
-        runCorun({CorunTenant::fromWorkload(profiledWorkload())}, options);
-    ASSERT_TRUE(report_or.ok()) << report_or.status().message();
-    MetricsRegistry corun_metrics;
-    report_or.value().exportMetrics(corun_metrics);
+        CorunRunOptions options;
+        options.config.base = cfg;
+        auto report_or = runCorun(
+            {CorunTenant::fromWorkload(profiledWorkload())}, options);
+        ASSERT_TRUE(report_or.ok()) << report_or.status().message();
+        MetricsRegistry corun_metrics;
+        report_or.value().exportMetrics(corun_metrics);
 
-    EXPECT_FALSE(profileOnly(solo_metrics).counters().empty());
-    EXPECT_EQ(profileJson(solo_metrics), profileJson(corun_metrics));
+        EXPECT_FALSE(profileOnly(solo_metrics).counters().empty());
+        EXPECT_EQ(profileJson(solo_metrics), profileJson(corun_metrics));
+    }
 }
 
 } // anonymous namespace
