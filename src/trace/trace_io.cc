@@ -169,33 +169,23 @@ TraceReader::init(const std::string &file_path)
                        path.c_str());
     }
     CS_FAILPOINT("trace.read.header");
-    // Read the version-independent 16-byte prefix first; only v2+
-    // carries the trailing checksum word.
-    if (std::fread(&header, TraceFileHeader::kV1Bytes, 1, file) != 1) {
-        return corruptionError("trace file '%s' is too short for a header",
-                               path.c_str());
-    }
+    // Identify the file before judging its length, so a short
+    // non-trace file is reported as not a trace. header.magic starts
+    // out valid, so only bytes actually read can fail the check.
+    const std::size_t got = std::fread(&header, 1, sizeof(header), file);
     if (header.magic != TraceFileHeader::kMagic) {
         return corruptionError("'%s' is not a CacheScope trace (bad magic)",
                                path.c_str());
     }
-    if (header.version != TraceFileHeader::kVersionV1 &&
-        header.version != TraceFileHeader::kVersionV2 &&
-        header.version != TraceFileHeader::kVersion) {
+    if (got != sizeof(header)) {
+        return corruptionError("trace file '%s' is too short for a header",
+                               path.c_str());
+    }
+    if (header.version != TraceFileHeader::kVersion) {
         return invalidArgumentError(
             "trace '%s' has unsupported version %u (this build reads "
-            "v1 through v3)",
-            path.c_str(), header.version);
-    }
-    if (header.version >= TraceFileHeader::kVersionV2) {
-        if (std::fread(&header.checksum, sizeof(header.checksum), 1,
-                       file) != 1) {
-            return corruptionError(
-                "trace file '%s' is too short for a v%u header",
-                path.c_str(), header.version);
-        }
-    } else {
-        header.checksum = 0;
+            "v%u only)",
+            path.c_str(), header.version, TraceFileHeader::kVersion);
     }
     // Large trace on a multicore host: hand fread + digest to a
     // read-ahead thread so they overlap the consumer's simulation
@@ -235,27 +225,8 @@ TraceReader::~TraceReader()
 }
 
 void
-TraceReader::digestUpdate(const void *data, std::size_t len)
-{
-    if (header.version >= TraceFileHeader::kVersion)
-        checksumX8_.update(data, len);
-    else
-        checksum.update(data, len);
-}
-
-std::uint64_t
-TraceReader::digestValue() const
-{
-    return header.version >= TraceFileHeader::kVersion
-        ? checksumX8_.digest()
-        : checksum.digest();
-}
-
-void
 TraceReader::producerLoop()
 {
-    const bool checksummed =
-        header.version >= TraceFileHeader::kVersionV2;
     for (;;) {
         Chunk *c = nullptr;
         {
@@ -273,8 +244,7 @@ TraceReader::producerLoop()
         c->readError = std::ferror(file) != 0;
         c->stray = c->readError ? 0 : got % sizeof(DiskRecord);
         c->len = c->readError ? 0 : got - c->stray;
-        if (checksummed && c->len != 0)
-            digestUpdate(c->bytes.data(), c->len);
+        checksum.update(c->bytes.data(), c->len);
         // A short read on a regular file means EOF (or the error
         // above): this chunk is the last.
         const bool last = c->readError || got < c->bytes.size();
@@ -313,14 +283,13 @@ TraceReader::finishStream(std::size_t stray, bool read_error)
             path.c_str(),
             static_cast<unsigned long long>(header.numRecords),
             static_cast<unsigned long long>(recordsRead_));
-    } else if (header.version >= TraceFileHeader::kVersionV2 &&
-               digestValue() != header.checksum) {
+    } else if (checksum.digest() != header.checksum) {
         status_ = corruptionError(
             "trace '%s' checksum mismatch: header says %016llx, "
             "records hash to %016llx (bit rot or concurrent write?)",
             path.c_str(),
             static_cast<unsigned long long>(header.checksum),
-            static_cast<unsigned long long>(digestValue()));
+            static_cast<unsigned long long>(checksum.digest()));
     }
 }
 
@@ -352,8 +321,7 @@ TraceReader::refillSync()
         stray_ = stray;
     bufLen_ = got - stray;
     if (bufLen_ != 0) {
-        if (header.version >= TraceFileHeader::kVersionV2)
-            digestUpdate(buffer_.data(), bufLen_);
+        checksum.update(buffer_.data(), bufLen_);
         bufData_ = buffer_.data();
         return true;
     }

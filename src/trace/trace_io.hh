@@ -6,15 +6,14 @@
  * by a header, so traces captured from one workload run can be replayed
  * later (ChampSim-style) without re-executing the workload.
  *
- * Format v2 extends the v1 header with a 64-bit checksum over the
- * record bytes; the reader verifies both the checksum and the promised
- * record count, so truncated or bit-flipped traces are reported as
- * Status errors instead of silently replaying short. Format v3 keeps
- * the v2 header layout but computes the digest with the 8-lane
- * interleaved FNV (Checksum64x8), whose independent dependency chains
- * hash several times faster than v2's byte-serial Checksum64 — on big
- * traces the digest used to dominate replay wall-clock. v1 and v2
- * files remain readable (verified with their own digest rules).
+ * The header carries the record count and a 64-bit digest of the
+ * record bytes, computed with the 8-lane interleaved FNV
+ * (Checksum64x8), whose independent dependency chains keep the digest
+ * off the replay's critical path. The reader verifies both, so
+ * truncated or bit-flipped traces are reported as Status errors
+ * instead of silently replaying short. Only format v3 is read; the
+ * earlier v1 (no digest) and v2 (byte-serial digest) formats are
+ * rejected as unsupported versions.
  *
  * Error reporting: the static open() factories return Expected and
  * never terminate the process; the legacy path-taking constructors are
@@ -43,30 +42,23 @@ namespace cachescope {
 struct TraceFileHeader
 {
     static constexpr std::uint32_t kMagic = 0x43535452; // "CSTR"
-    static constexpr std::uint32_t kVersionV1 = 1;
-    static constexpr std::uint32_t kVersionV2 = 2;
     static constexpr std::uint32_t kVersion = 3;
 
-    /** Bytes of header preceding the records, per version. */
-    static constexpr std::size_t kV1Bytes = 16;
-    /** v2 and v3 share the 24-byte header layout. */
-    static constexpr std::size_t kV2Bytes = 24;
+    /** Bytes of header preceding the records. */
+    static constexpr std::size_t kHeaderBytes = 24;
 
-    /** Bytes per on-disk record (pinned; all versions). */
+    /** Bytes per on-disk record (pinned). */
     static constexpr std::size_t kRecordBytes = 24;
 
     std::uint32_t magic = kMagic;
     std::uint32_t version = kVersion;
     std::uint64_t numRecords = 0;
-    /**
-     * v2+: digest over all record bytes, in file order — Checksum64
-     * for v2 files, Checksum64x8 for v3.
-     */
+    /** Checksum64x8 digest over all record bytes, in file order. */
     std::uint64_t checksum = 0;
 };
 
-static_assert(sizeof(TraceFileHeader) == TraceFileHeader::kV2Bytes,
-              "v2 header must pack to 24 B");
+static_assert(sizeof(TraceFileHeader) == TraceFileHeader::kHeaderBytes,
+              "the header must pack to 24 B");
 
 /**
  * An InstructionSink that appends every record to a binary trace file.
@@ -112,7 +104,7 @@ class TraceWriter : public InstructionSink
 
     std::FILE *file = nullptr;
     std::string path;
-    Checksum64x8 checksum; // writes the current (v3) format
+    Checksum64x8 checksum;
     Status status_;
     std::uint64_t count = 0;
     bool finalized = false;
@@ -122,8 +114,8 @@ class TraceWriter : public InstructionSink
  * Reads a binary trace file and replays it into a sink.
  *
  * next() returns false at end of input; status() distinguishes a
- * verified clean end (record count and, for v2, checksum both match
- * the header) from truncation, corruption, or read errors.
+ * verified clean end (record count and checksum both match the
+ * header) from truncation, corruption, or read errors.
  */
 class TraceReader
 {
@@ -142,13 +134,10 @@ class TraceReader
     /** @return the number of records the header promises. */
     std::uint64_t numRecords() const { return header.numRecords; }
 
-    /** @return the on-disk format version (1 or 2). */
+    /** @return the on-disk format version (always kVersion). */
     std::uint32_t version() const { return header.version; }
 
-    /**
-     * @return the digest the v2+/v3 header promises for the record
-     * bytes (0 for v1 traces, which carry no checksum).
-     */
+    /** @return the digest the header promises for the record bytes. */
     std::uint64_t headerChecksum() const { return header.checksum; }
 
     /**
@@ -181,8 +170,7 @@ class TraceReader
     /**
      * Traces at least this many records long are read through a
      * pipelined producer thread that overlaps the fread and the
-     * (inherently serial, format-pinned) FNV checksum with the
-     * consumer's simulation work. Shorter traces stay synchronous —
+     * (format-pinned) checksum with the consumer's simulation work. Shorter traces stay synchronous —
      * the thread would cost more than it hides.
      */
     static constexpr std::uint64_t kPipelineMinRecords = 8 * kBatchRecords;
@@ -219,17 +207,10 @@ class TraceReader
     /** Issue the end-of-stream verdict into status_; sets `done`. */
     void finishStream(std::size_t stray, bool read_error);
 
-    /** Feed record bytes to the digest this file's version uses. */
-    void digestUpdate(const void *data, std::size_t len);
-
-    /** The digest of every record byte fed so far. */
-    std::uint64_t digestValue() const;
-
     std::FILE *file = nullptr;
     std::string path;
     TraceFileHeader header;
-    Checksum64 checksum;      ///< v2 digest (byte-serial)
-    Checksum64x8 checksumX8_; ///< v3 digest (8-lane interleaved)
+    Checksum64x8 checksum;
     Status status_;
     std::uint64_t recordsRead_ = 0;
     bool done = false;

@@ -250,17 +250,6 @@ TEST(TraceIo, WriterFinalizesOnDestruction)
 
 // ------------------------------------------ recoverable error paths --
 
-/** Mirror of trace_io.cc's on-disk record layout, for fixture forging. */
-struct RawDiskRecord
-{
-    std::uint64_t pc = 0;
-    std::uint64_t addr = 0;
-    std::uint8_t kind = 0;
-    std::uint8_t size = 0;
-    std::uint8_t pad[6] = {};
-};
-static_assert(sizeof(RawDiskRecord) == 24, "fixture layout drifted");
-
 /** Write a 4-record trace and return its path. */
 std::string
 writeSmallTrace(const char *tag)
@@ -327,25 +316,30 @@ TEST(TraceIoStatus, OpenReportsBadMagic)
 
 TEST(TraceIoStatus, OpenReportsUnsupportedVersion)
 {
-    const std::string path = tempTracePath("status_badver");
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    TraceFileHeader hdr;
-    hdr.version = 99;
-    std::fwrite(&hdr, sizeof(hdr), 1, f);
-    std::fclose(f);
-    auto reader = TraceReader::open(path);
-    ASSERT_FALSE(reader.ok());
-    EXPECT_EQ(reader.status().code(), StatusCode::InvalidArgument);
-    EXPECT_NE(reader.status().message().find("version 99"),
-              std::string::npos);
-    std::remove(path.c_str());
+    // The retired v1 and v2 formats are rejected like any unknown one.
+    for (const std::uint32_t version : {1u, 2u, 99u}) {
+        SCOPED_TRACE(version);
+        const std::string path = tempTracePath("status_badver");
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        TraceFileHeader hdr;
+        hdr.version = version;
+        std::fwrite(&hdr, sizeof(hdr), 1, f);
+        std::fclose(f);
+        auto reader = TraceReader::open(path);
+        ASSERT_FALSE(reader.ok());
+        EXPECT_EQ(reader.status().code(), StatusCode::InvalidArgument);
+        EXPECT_NE(reader.status().message().find(
+                      "version " + std::to_string(version)),
+                  std::string::npos);
+        std::remove(path.c_str());
+    }
 }
 
 TEST(TraceIoStatus, TruncatedMidRecordIsReported)
 {
     const std::string path = writeSmallTrace("status_midrec");
     // Header + 2 full records + 11 stray bytes of the third.
-    resizeFile(path, TraceFileHeader::kV2Bytes + 2 * 24 + 11);
+    resizeFile(path, TraceFileHeader::kHeaderBytes + 2 * 24 + 11);
     auto reader = TraceReader::open(path);
     ASSERT_TRUE(reader.ok());
     VectorSink sink;
@@ -365,7 +359,7 @@ TEST(TraceIoStatus, RecordCountMismatchIsReported)
     const std::string path = writeSmallTrace("status_count");
     // Cut cleanly at a record boundary: indistinguishable from EOF
     // without the header cross-check.
-    resizeFile(path, TraceFileHeader::kV2Bytes + 3 * 24);
+    resizeFile(path, TraceFileHeader::kHeaderBytes + 3 * 24);
     auto reader = TraceReader::open(path);
     ASSERT_TRUE(reader.ok());
     VectorSink sink;
@@ -383,7 +377,7 @@ TEST(TraceIoStatus, ChecksumMismatchIsReported)
     // Flip a bit inside the second record's address field: the record
     // still parses, so only the checksum can catch it.
     flipByte(path,
-             static_cast<long>(TraceFileHeader::kV2Bytes + 24 + 8));
+             static_cast<long>(TraceFileHeader::kHeaderBytes + 24 + 8));
     auto reader = TraceReader::open(path);
     ASSERT_TRUE(reader.ok());
     VectorSink sink;
@@ -391,39 +385,6 @@ TEST(TraceIoStatus, ChecksumMismatchIsReported)
     ASSERT_FALSE(s.ok());
     EXPECT_EQ(s.code(), StatusCode::Corruption);
     EXPECT_NE(s.message().find("checksum mismatch"), std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIoStatus, V1TracesRemainReadable)
-{
-    const std::string path = tempTracePath("status_v1");
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    // A v1 header is the 16-byte prefix only: magic, version, count.
-    const std::uint32_t magic = TraceFileHeader::kMagic;
-    const std::uint32_t version = TraceFileHeader::kVersionV1;
-    const std::uint64_t count = 2;
-    std::fwrite(&magic, sizeof(magic), 1, f);
-    std::fwrite(&version, sizeof(version), 1, f);
-    std::fwrite(&count, sizeof(count), 1, f);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        RawDiskRecord rec;
-        rec.pc = 0x400000 + 4 * i;
-        rec.addr = 64 * i;
-        rec.kind = static_cast<std::uint8_t>(InstKind::Load);
-        rec.size = 8;
-        std::fwrite(&rec, sizeof(rec), 1, f);
-    }
-    std::fclose(f);
-
-    auto reader = TraceReader::open(path);
-    ASSERT_TRUE(reader.ok());
-    EXPECT_EQ(reader.value()->version(), TraceFileHeader::kVersionV1);
-    EXPECT_EQ(reader.value()->numRecords(), count);
-    VectorSink sink;
-    std::uint64_t replayed = 0;
-    EXPECT_TRUE(reader.value()->replayInto(sink, &replayed).ok());
-    EXPECT_EQ(replayed, count);
     std::remove(path.c_str());
 }
 
@@ -530,80 +491,6 @@ TEST(TraceIoPipelined, EarlyDestructionJoinsReader)
             ASSERT_TRUE(reader.next(rec));
         // reader destroyed with ~9900 records unconsumed
     }
-    std::remove(path.c_str());
-}
-
-TEST(TraceIoStatus, V2TracesRemainReadableWithSerialChecksum)
-{
-    // The writer emits v3 (8-lane digest) now, so the v2 read path —
-    // byte-serial Checksum64 verification — needs a hand-crafted file.
-    const std::string path = tempTracePath("status_v2");
-    const std::uint64_t count = 3;
-    std::vector<RawDiskRecord> recs(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        recs[i].pc = 0x400000 + 4 * i;
-        recs[i].addr = 64 * i;
-        recs[i].kind = static_cast<std::uint8_t>(InstKind::Load);
-        recs[i].size = 8;
-    }
-    Checksum64 digest;
-    digest.update(recs.data(), count * sizeof(RawDiskRecord));
-
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    const std::uint32_t magic = TraceFileHeader::kMagic;
-    const std::uint32_t version = TraceFileHeader::kVersionV2;
-    const std::uint64_t checksum = digest.digest();
-    std::fwrite(&magic, sizeof(magic), 1, f);
-    std::fwrite(&version, sizeof(version), 1, f);
-    std::fwrite(&count, sizeof(count), 1, f);
-    std::fwrite(&checksum, sizeof(checksum), 1, f);
-    std::fwrite(recs.data(), sizeof(RawDiskRecord), count, f);
-    std::fclose(f);
-
-    auto reader = TraceReader::open(path);
-    ASSERT_TRUE(reader.ok());
-    EXPECT_EQ(reader.value()->version(), TraceFileHeader::kVersionV2);
-    VectorSink sink;
-    std::uint64_t replayed = 0;
-    EXPECT_TRUE(reader.value()->replayInto(sink, &replayed).ok());
-    EXPECT_EQ(replayed, count);
-
-    // A flipped record byte must still fail v2 verification.
-    f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 24 + 3, SEEK_SET);
-    std::fputc(0x7e, f);
-    std::fclose(f);
-    auto reread = TraceReader::open(path);
-    ASSERT_TRUE(reread.ok());
-    VectorSink sink2;
-    const Status s = reread.value()->replayInto(sink2);
-    EXPECT_EQ(s.code(), StatusCode::Corruption);
-    EXPECT_NE(s.message().find("checksum mismatch"), std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIoStatus, V1TruncationStillDetectedViaRecordCount)
-{
-    const std::string path = tempTracePath("status_v1_short");
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    const std::uint32_t magic = TraceFileHeader::kMagic;
-    const std::uint32_t version = TraceFileHeader::kVersionV1;
-    const std::uint64_t count = 5; // promises 5, delivers 1
-    std::fwrite(&magic, sizeof(magic), 1, f);
-    std::fwrite(&version, sizeof(version), 1, f);
-    std::fwrite(&count, sizeof(count), 1, f);
-    RawDiskRecord rec;
-    rec.kind = static_cast<std::uint8_t>(InstKind::Alu);
-    std::fwrite(&rec, sizeof(rec), 1, f);
-    std::fclose(f);
-
-    auto reader = TraceReader::open(path);
-    ASSERT_TRUE(reader.ok());
-    VectorSink sink;
-    EXPECT_EQ(reader.value()->replayInto(sink).code(),
-              StatusCode::Corruption);
     std::remove(path.c_str());
 }
 

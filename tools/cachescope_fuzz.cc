@@ -7,7 +7,7 @@
  * dominance, trace round-trip fidelity, metrics conservation, serial
  * vs parallel sweep equality) on each. The first violation stops the
  * run: the triggering stream is optionally minimized and written out
- * as a repro bundle (v2 trace + config + expected/actual metric trees)
+ * as a repro bundle (trace + config + expected/actual metric trees)
  * that `cachescope replay` and the difftest unit tests can consume.
  *
  * Flags:
@@ -142,7 +142,7 @@ writeBundle(const std::string &out_dir, const DiffFailure &failure,
         return 2;
     }
 
-    // The stream, as a v2 trace replayable by `cachescope replay`.
+    // The stream, as a trace replayable by `cachescope replay`.
     {
         auto writer = TraceWriter::open(dir + "/stream.trace");
         if (!writer.ok()) {
