@@ -1,7 +1,7 @@
 /**
  * @file
- * The full memory hierarchy: L1I + L1D over a unified L2 over the LLC
- * over DDR4, matching the paper's single-core Cascade Lake setup.
+ * One core's memory hierarchy: private L1I + L1D over a unified L2,
+ * over the shared LLC and DDR4 of the paper's Cascade Lake setup.
  */
 
 #ifndef CACHESCOPE_CORE_HIERARCHY_HH
@@ -25,30 +25,23 @@ struct HierarchyConfig
 };
 
 /**
- * Owns and wires all levels. The replacement policy under study applies
- * to the LLC (upper levels stay at LRU, the paper's methodology); pass
- * a non-default @p llc_policy name via the config, or inject an
- * instance (Belady) with the second constructor.
+ * One core's view of the memory system: its private L1I + L1D over a
+ * unified L2, wired over an LLC and DRAM that the simulation driver
+ * owns and shares between cores (one core: "shared" by one). The
+ * replacement policy under study applies to the LLC; the private
+ * levels stay at LRU, the paper's methodology.
  */
 class CacheHierarchy
 {
   public:
-    explicit CacheHierarchy(const HierarchyConfig &config);
-
-    /** Inject a pre-built LLC policy (used for the OPT oracle). */
-    CacheHierarchy(const HierarchyConfig &config,
-                   std::unique_ptr<ReplacementPolicy> llc_policy);
-
-    /**
-     * Build only this core's private levels (L1I/L1D/L2) over an LLC
-     * and DRAM owned elsewhere — the multi-core co-run arrangement,
-     * where N private hierarchies share one LLC. Neither pointer is
-     * owned; both must outlive this hierarchy. resetStats() resets the
-     * private levels only (the co-run driver resets the shared ones at
-     * its own warmup barrier).
-     */
-    CacheHierarchy(const HierarchyConfig &config, Cache *shared_llc,
-                   DramModel *shared_dram);
+    /** Neither @p llc nor @p dram is owned; both must outlive this. */
+    CacheHierarchy(const HierarchyConfig &config, Cache &llc,
+                   DramModel &dram)
+        : l2Cache(std::make_unique<Cache>(config.l2, &llc)),
+          l1iCache(std::make_unique<Cache>(config.l1i, l2Cache.get())),
+          l1dCache(std::make_unique<Cache>(config.l1d, l2Cache.get())),
+          llcCache(&llc), dramModel(&dram)
+    {}
 
     // The three core-facing entry points are inline direct calls:
     // Cache is final, so these devirtualize and the whole fixed
@@ -78,54 +71,33 @@ class CacheHierarchy
     Cache &l1i() { return *l1iCache; }
     Cache &l1d() { return *l1dCache; }
     Cache &l2() { return *l2Cache; }
-    Cache &llc() { return *llcView; }
-    DramModel &dram() { return *dramView; }
+    Cache &llc() { return *llcCache; }
+    DramModel &dram() { return *dramModel; }
     const Cache &l1i() const { return *l1iCache; }
     const Cache &l1d() const { return *l1dCache; }
     const Cache &l2() const { return *l2Cache; }
-    const Cache &llc() const { return *llcView; }
-    const DramModel &dram() const { return *dramView; }
-
-    /** @return true when the LLC and DRAM belong to this hierarchy. */
-    bool ownsSharedLevels() const { return llcCache != nullptr; }
+    const Cache &llc() const { return *llcCache; }
+    const DramModel &dram() const { return *dramModel; }
 
     /**
-     * Reset statistics on every owned level (state is preserved). In
-     * the shared-LLC arrangement the LLC and DRAM are skipped — they
-     * aggregate traffic from every core, so only their owner (the
-     * co-run driver) may reset them.
-     */
-    void resetStats();
-
-    /**
-     * Toggle functional (timing-free) warmup on the DRAM-adjacent
-     * cache: while on, LLC misses skip the DRAM bank queues and return
-     * immediately; every architectural update (tags, replacement
-     * metadata, prefetcher and predictor state) proceeds exactly as in
-     * timed mode. In the shared-LLC arrangement this is a no-op — the
-     * LLC belongs to the co-run driver, which owns the flag and clears
-     * it at its all-cores-warm barrier.
+     * Reset the private levels' statistics (state is preserved). The
+     * LLC and DRAM aggregate every core's traffic, so only their owner
+     * resets them.
      */
     void
-    setFunctionalMode(bool on)
+    resetStats()
     {
-        if (llcCache)
-            llcCache->setFunctionalMode(on);
+        l1iCache->resetStats();
+        l1dCache->resetStats();
+        l2Cache->resetStats();
     }
 
   private:
-    void build(const HierarchyConfig &config,
-               std::unique_ptr<ReplacementPolicy> llc_policy);
-
-    std::unique_ptr<DramModel> dramModel;
-    std::unique_ptr<DramLevel> dramLevel;
-    std::unique_ptr<Cache> llcCache;
     std::unique_ptr<Cache> l2Cache;
     std::unique_ptr<Cache> l1iCache;
     std::unique_ptr<Cache> l1dCache;
-    /** The LLC/DRAM this hierarchy uses: owned above, or shared. */
-    Cache *llcView = nullptr;
-    DramModel *dramView = nullptr;
+    Cache *llcCache;
+    DramModel *dramModel;
 };
 
 } // namespace cachescope

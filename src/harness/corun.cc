@@ -52,6 +52,45 @@ class CaptureSink final : public InstructionSink
     std::vector<TraceRecord> records_;
 };
 
+/** A stream over an in-memory record vector (captured workloads). */
+class VectorStream final : public CorunStream
+{
+  public:
+    explicit VectorStream(std::vector<TraceRecord> records)
+        : records_(std::move(records))
+    {}
+
+    bool
+    next(TraceRecord &rec) override
+    {
+        if (pos_ >= records_.size())
+            return false;
+        rec = records_[pos_++];
+        return true;
+    }
+
+  private:
+    std::vector<TraceRecord> records_;
+    std::size_t pos_ = 0;
+};
+
+/** A stream over a binary trace file (memory-light replay). */
+class TraceFileStream final : public CorunStream
+{
+  public:
+    explicit TraceFileStream(std::unique_ptr<TraceReader> reader)
+        : reader_(std::move(reader))
+    {}
+
+    bool next(TraceRecord &rec) override { return reader_->next(rec); }
+
+    /** Non-OK once the reader hit truncation or corruption. */
+    const Status &status() const { return reader_->status(); }
+
+  private:
+    std::unique_ptr<TraceReader> reader_;
+};
+
 /** Solo IPC of a trace tenant under @p config (for baselines). */
 Expected<double>
 soloTraceIpc(const std::string &path, const SimConfig &config)
@@ -143,18 +182,19 @@ runCorun(const std::vector<CorunTenant> &tenants,
                 measure == 0 ? 0 : config.coreWarmups[i] + measure;
             CaptureSink sink(budget);
             tenants[i].workload->run(sink);
-            streams.push_back(std::make_unique<VectorStream>(
-                tenants[i].workload->name(), sink.take()));
+            streams.push_back(std::make_unique<VectorStream>(sink.take()));
         } else {
-            auto stream_or = TraceFileStream::open(tenants[i].tracePath);
-            if (!stream_or.ok())
-                return stream_or.status();
-            file_streams[i] = stream_or.value().get();
-            streams.push_back(stream_or.take());
+            auto reader_or = TraceReader::open(tenants[i].tracePath);
+            if (!reader_or.ok())
+                return reader_or.status();
+            auto stream =
+                std::make_unique<TraceFileStream>(reader_or.take());
+            file_streams[i] = stream.get();
+            streams.push_back(std::move(stream));
         }
     }
 
-    CorunSimulator sim(config, n);
+    Simulator sim(config, n);
     std::vector<CorunStream *> raw;
     raw.reserve(n);
     for (const auto &s : streams)
@@ -171,23 +211,17 @@ runCorun(const std::vector<CorunTenant> &tenants,
     // A tenant whose stream ended inside its warmup produced no
     // measured traffic at all; worth a warning, not an error.
     for (std::size_t i = 0; i < n; ++i) {
-        if (config.coreWarmups[i] > 0 && !sim.core(i).inMeasurement()) {
-            warn("corun tenant '%s' ended after %llu of %llu warmup "
-                 "instructions; its measured window is empty",
-                 tenants[i].name().c_str(),
-                 static_cast<unsigned long long>(
-                     sim.core(i).instructionsConsumed()),
-                 static_cast<unsigned long long>(config.coreWarmups[i]));
-        }
+        sim.warnIfWarmupUnfinished(
+            "corun tenant '" + tenants[i].name() + "'", i);
     }
 
     CorunReport report;
-    report.result = sim.result();
+    report.result = sim.corunResult();
     report.tenantNames.reserve(n);
     InstCount total_instructions = 0;
     for (std::size_t i = 0; i < n; ++i) {
         report.tenantNames.push_back(tenants[i].name());
-        total_instructions += sim.core(i).instructionsConsumed();
+        total_instructions += sim.instructionsConsumed(i);
     }
 
     constexpr double kMinSeconds = 1e-9;

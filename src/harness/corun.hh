@@ -1,7 +1,7 @@
 /**
  * @file
  * The co-run harness: turns named tenants (zoo workloads or captured
- * trace files) into CorunStreams, drives a CorunSimulator, and reports
+ * trace files) into CorunStreams, drives an N-core Simulator, and reports
  * the multi-programmed summary metrics the scheduling literature uses —
  * weighted speedup (sum of each tenant's IPC relative to running alone)
  * and fairness (min/max relative progress).
@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "core/corun.hh"
+#include "core/simulator.hh"
 #include "trace/workload.hh"
 
 namespace cachescope {

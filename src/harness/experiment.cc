@@ -63,22 +63,6 @@ setThroughputGauges(SimResult &result, InstCount instructions,
         static_cast<double>(instructions) / divisor / 1e6);
 }
 
-/** warn() once when a run's input dried up inside its warmup window —
- *  a too-short trace otherwise yields an all-warmup, zero-measurement
- *  result that looks like a clean (but empty) run. */
-void
-warnIfAllWarmup(const Simulator &sim, const SimConfig &cfg,
-                const std::string &what)
-{
-    if (cfg.warmupInstructions == 0 || sim.inMeasurement())
-        return;
-    warn("%s ended after %llu of %llu warmup instructions; the "
-         "measured window is empty",
-         what.c_str(),
-         static_cast<unsigned long long>(sim.instructionsConsumed()),
-         static_cast<unsigned long long>(cfg.warmupInstructions));
-}
-
 } // anonymous namespace
 
 SimResult
@@ -91,7 +75,7 @@ runOne(Workload &workload, const SimConfig &config)
     Simulator sim(cfg);
     workload.run(sim);
     SimResult result = sim.result();
-    warnIfAllWarmup(sim, cfg, "workload '" + workload.name() + "'");
+    sim.warnIfWarmupUnfinished("workload '" + workload.name() + "'");
     setThroughputGauges(result, sim.instructionsConsumed(), start,
                         sim.measureWallSeconds());
     return result;
@@ -134,13 +118,13 @@ runBelady(Workload &workload, const SimConfig &base_config)
     auto oracle = std::make_shared<FutureOracle>(*stream);
     auto policy = std::make_unique<BeladyPolicy>(
         config.hierarchy.llc.geometry(), oracle);
-    Simulator sim(config, std::move(policy));
+    Simulator sim(config, 1, std::move(policy));
     workload.run(sim);
     SimResult result = sim.result();
     result.llcPolicy = "belady";
     result.llcPolicyState.clear();
-    warnIfAllWarmup(sim, config,
-                    "belady replay of '" + workload.name() + "'");
+    sim.warnIfWarmupUnfinished("belady replay of '" + workload.name() +
+                               "'");
     // Both passes count: the oracle's cost is real simulated work.
     // Pass 1 is all bookkeeping for the oracle, so it lands on the
     // warmup side of the wall-time split.

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/cascade_lake.hh"
-#include "core/corun.hh"
 #include "harness/corun.hh"
 #include "harness/experiment.hh"
 #include "stats/metrics.hh"

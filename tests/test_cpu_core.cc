@@ -28,6 +28,22 @@ tinyHierarchy()
     return h;
 }
 
+/** The shared levels a Simulator would own: DRAM and an LLC over it. */
+struct TinySharedLevels
+{
+    HierarchyConfig config = tinyHierarchy();
+    DramModel sharedDram{config.dram};
+    DramLevel dramLevel{sharedDram};
+    Cache sharedLlc{config.llc, &dramLevel};
+};
+
+/** A one-core hierarchy over its own LLC and DRAM (base-from-member:
+ *  the shared levels are built before the private ones wire to them). */
+struct TinyHierarchy : private TinySharedLevels, public CacheHierarchy
+{
+    TinyHierarchy() : CacheHierarchy(config, sharedLlc, sharedDram) {}
+};
+
 CoreConfig
 simpleCore(std::uint32_t rob = 32, std::uint32_t width = 4)
 {
@@ -44,7 +60,7 @@ simpleCore(std::uint32_t rob = 32, std::uint32_t width = 4)
 
 TEST(CpuCore, AluStreamRunsAtDispatchWidth)
 {
-    CacheHierarchy hier(tinyHierarchy());
+    TinyHierarchy hier;
     CpuCore core(simpleCore(32, 4), hier);
     const int n = 4000;
     for (int i = 0; i < n; ++i)
@@ -55,7 +71,7 @@ TEST(CpuCore, AluStreamRunsAtDispatchWidth)
 
 TEST(CpuCore, NarrowerDispatchIsSlower)
 {
-    CacheHierarchy h1(tinyHierarchy()), h2(tinyHierarchy());
+    TinyHierarchy h1, h2;
     CpuCore wide(simpleCore(32, 4), h1);
     CpuCore narrow(simpleCore(32, 1), h2);
     for (int i = 0; i < 1000; ++i) {
@@ -68,7 +84,7 @@ TEST(CpuCore, NarrowerDispatchIsSlower)
 
 TEST(CpuCore, LoadMissesStallRetirement)
 {
-    CacheHierarchy hier(tinyHierarchy());
+    TinyHierarchy hier;
     CpuCore core(simpleCore(), hier);
     // Interleave ALU work with loads streaming over a large footprint:
     // every load misses everywhere, IPC collapses well below width.
@@ -83,7 +99,7 @@ TEST(CpuCore, LoadMissesStallRetirement)
 
 TEST(CpuCore, CacheHitsAreFasterThanMisses)
 {
-    CacheHierarchy h1(tinyHierarchy()), h2(tinyHierarchy());
+    TinyHierarchy h1, h2;
     CpuCore hitting(simpleCore(), h1);
     CpuCore missing(simpleCore(), h2);
     for (int i = 0; i < 10000; ++i) {
@@ -98,7 +114,7 @@ TEST(CpuCore, CacheHitsAreFasterThanMisses)
 
 TEST(CpuCore, StoresDoNotStallRetirement)
 {
-    CacheHierarchy h1(tinyHierarchy()), h2(tinyHierarchy());
+    TinyHierarchy h1, h2;
     CpuCore storing(simpleCore(), h1);
     CpuCore loading(simpleCore(), h2);
     for (int i = 0; i < 10000; ++i) {
@@ -118,7 +134,7 @@ TEST(CpuCore, BiggerRobExtractsMoreMlp)
 {
     // Independent misses overlap within the ROB window; a larger ROB
     // must overlap more of them and finish faster.
-    CacheHierarchy h1(tinyHierarchy()), h2(tinyHierarchy());
+    TinyHierarchy h1, h2;
     CpuCore small(simpleCore(/*rob=*/8), h1);
     CpuCore large(simpleCore(/*rob=*/256), h2);
     // Page-strided misses: high per-access latency (row conflicts),
@@ -140,7 +156,7 @@ TEST(CpuCore, MshrsBoundMemoryLevelParallelism)
     few.maxOutstandingMisses = 2;
     CoreConfig many = simpleCore(/*rob=*/256);
     many.maxOutstandingMisses = 16;
-    CacheHierarchy h1(tinyHierarchy()), h2(tinyHierarchy());
+    TinyHierarchy h1, h2;
     CpuCore core_few(few, h1);
     CpuCore core_many(many, h2);
     for (int i = 0; i < 20000; ++i) {
@@ -156,7 +172,7 @@ TEST(CpuCore, FetchMissesThrottleTheFrontend)
 {
     CoreConfig with_fetch = simpleCore();
     with_fetch.simulateFetch = true;
-    CacheHierarchy h1(tinyHierarchy()), h2(tinyHierarchy());
+    TinyHierarchy h1, h2;
     CpuCore fetching(with_fetch, h1);
     CpuCore ideal(simpleCore(), h2);
     // Jump through PC space so every fetch block is new.
@@ -173,7 +189,7 @@ TEST(CpuCore, SequentialCodeFetchesOncePerBlock)
 {
     CoreConfig with_fetch = simpleCore();
     with_fetch.simulateFetch = true;
-    CacheHierarchy hier(tinyHierarchy());
+    TinyHierarchy hier;
     CpuCore core(with_fetch, hier);
     // 16 instructions per 64 B block, looping over two blocks; long
     // enough to amortize the two cold fetch misses.
@@ -189,7 +205,7 @@ TEST(CpuCore, SequentialCodeFetchesOncePerBlock)
 
 TEST(CpuCore, ResetStatsStartsFreshWindow)
 {
-    CacheHierarchy hier(tinyHierarchy());
+    TinyHierarchy hier;
     CpuCore core(simpleCore(), hier);
     for (int i = 0; i < 1000; ++i)
         core.onInstruction(TraceRecord::alu(0x400000));
@@ -204,7 +220,7 @@ TEST(CpuCore, ResetStatsStartsFreshWindow)
 
 TEST(CpuCore, BranchesCountAndRetire)
 {
-    CacheHierarchy hier(tinyHierarchy());
+    TinyHierarchy hier;
     CpuCore core(simpleCore(), hier);
     for (int i = 0; i < 100; ++i)
         core.onInstruction(TraceRecord::branch(0x400000));

@@ -694,13 +694,7 @@ cmdReplay(const Args &args)
                  "(%.1f simulated MIPS)\n",
                  static_cast<unsigned long long>(replayed),
                  wall_ms / 1000.0, mips);
-    if (cfg.warmupInstructions > 0 && !sim.inMeasurement()) {
-        warn("trace '%s' ended after %llu of %llu warmup instructions; "
-             "the measured window is empty",
-             path.c_str(),
-             static_cast<unsigned long long>(sim.instructionsConsumed()),
-             static_cast<unsigned long long>(cfg.warmupInstructions));
-    }
+    sim.warnIfWarmupUnfinished("trace '" + path + "'");
     const SimResult r = sim.result();
     printSimResult(r, std::cout);
     MetricsRegistry metrics;
