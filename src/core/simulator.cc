@@ -301,7 +301,7 @@ Simulator::enterMeasurement(Core &c)
         openBarrier();
 }
 
-void
+inline void
 Simulator::step(Core &c, const TraceRecord &rec)
 {
     if (c.budgetExhausted)

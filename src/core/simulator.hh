@@ -306,8 +306,6 @@ class Simulator : public InstructionSink
      */
     void run(const std::vector<CorunStream *> &streams);
 
-    std::size_t numCores() const { return cores_.size(); }
-
     /** @return true once core @p i has consumed its warmup window. */
     bool
     inMeasurement(std::size_t i = 0) const
@@ -330,17 +328,14 @@ class Simulator : public InstructionSink
     void warnIfWarmupUnfinished(const std::string &what,
                                 std::size_t i = 0) const;
 
-    CacheHierarchy &hierarchy(std::size_t i = 0) { return cores_[i]->hier; }
-    CpuCore &core(std::size_t i = 0) { return cores_[i]->cpu; }
+    /** Core 0's hierarchy, through which the LLC is reachable. */
+    CacheHierarchy &hierarchy() { return cores_.front()->hier; }
 
     /** Snapshot core 0's measured window (the N = 1 result). */
     SimResult result() const { return coreResult(0); }
 
     /** Snapshot every core and the shared levels after run(). */
     CorunResult corunResult() const;
-
-    /** The LLC profiler, or null when cfg.profile is off. */
-    const OnlineProfiler *profiler() const { return profiler_.get(); }
 
     /**
      * Keep the functional fast path active for the whole run instead

@@ -13,7 +13,6 @@
 
 #include "harness/experiment.hh"
 #include "trace/trace_io.hh"
-#include "util/logging.hh"
 
 namespace cachescope {
 

@@ -1,10 +1,10 @@
 /**
  * @file
  * The co-run harness: turns named tenants (zoo workloads or captured
- * trace files) into CorunStreams, drives an N-core Simulator, and reports
- * the multi-programmed summary metrics the scheduling literature uses —
- * weighted speedup (sum of each tenant's IPC relative to running alone)
- * and fairness (min/max relative progress).
+ * trace files) into CorunStreams, drives an N-core Simulator, and
+ * reports the multi-programmed summary metrics the scheduling
+ * literature uses — weighted speedup (sum of each tenant's IPC
+ * relative to running alone) and fairness (min/max relative progress).
  */
 
 #ifndef CACHESCOPE_HARNESS_CORUN_HH
