@@ -240,9 +240,9 @@ Simulator::warmupWallSeconds(std::size_t i) const
 }
 
 double
-Simulator::measureWallSeconds(std::size_t i) const
+Simulator::measureWallSeconds() const
 {
-    const Core &c = *cores_[i];
+    const Core &c = *cores_.front();
     if (!c.warmupDone)
         return 0.0;
     return std::chrono::duration<double>(

@@ -354,8 +354,8 @@ class Simulator : public InstructionSink
      */
     double warmupWallSeconds(std::size_t i = 0) const;
 
-    /** Wall seconds since core @p i's warmup boundary (0 until then). */
-    double measureWallSeconds(std::size_t i = 0) const;
+    /** Wall seconds since core 0's warmup boundary (0 until then). */
+    double measureWallSeconds() const;
 
   private:
     /** One core's private state; the arbiter and push path step it. */
@@ -375,7 +375,7 @@ class Simulator : public InstructionSink
         InstCount consumed = 0;
         bool warmupDone = false;
         bool budgetExhausted = false;
-        /** True while this core takes the functional (timing-free) path. */
+        /** True while the core takes the functional (untimed) path. */
         bool functional;
         bool sawInstruction = false;
         std::chrono::steady_clock::time_point firstInstructionAt{};

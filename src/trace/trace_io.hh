@@ -8,8 +8,8 @@
  *
  * The header carries the record count and a 64-bit digest of the
  * record bytes, computed with the 8-lane interleaved FNV
- * (Checksum64x8), whose independent dependency chains keep the digest
- * off the replay's critical path. The reader verifies both, so
+ * (Checksum64x8), whose independent dependency chains hash several
+ * times faster than a byte-serial FNV. The reader verifies both, so
  * truncated or bit-flipped traces are reported as Status errors
  * instead of silently replaying short. Only format v3 is read; the
  * earlier v1 (no digest) and v2 (byte-serial digest) formats are
@@ -170,8 +170,9 @@ class TraceReader
     /**
      * Traces at least this many records long are read through a
      * pipelined producer thread that overlaps the fread and the
-     * (format-pinned) checksum with the consumer's simulation work. Shorter traces stay synchronous —
-     * the thread would cost more than it hides.
+     * (format-pinned) checksum with the consumer's simulation work.
+     * Shorter traces stay synchronous — the thread would cost more
+     * than it hides.
      */
     static constexpr std::uint64_t kPipelineMinRecords = 8 * kBatchRecords;
 
