@@ -208,13 +208,11 @@ Simulator::Simulator(const CorunConfig &config, std::size_t num_cores,
                 }
             });
     }
-    cores_.reserve(num_cores);
     for (std::size_t i = 0; i < num_cores; ++i) {
         const InstCount warmup = cfg.coreWarmups.empty()
             ? cfg.base.warmupInstructions
             : cfg.coreWarmups[i];
-        cores_.push_back(
-            std::make_unique<Core>(cfg.base, warmup, *llc_, *dram_));
+        cores_.emplace_back(cfg.base, warmup, *llc_, *dram_);
     }
 }
 
@@ -223,14 +221,14 @@ Simulator::forceFunctional()
 {
     forcedFunctional_ = true;
     llc_->setFunctionalMode(true);
-    for (const auto &c : cores_)
-        c->functional = true;
+    for (Core &c : cores_)
+        c.functional = true;
 }
 
 double
 Simulator::warmupWallSeconds(std::size_t i) const
 {
-    const Core &c = *cores_[i];
+    const Core &c = cores_[i];
     if (!c.sawInstruction)
         return 0.0;
     const auto end =
@@ -242,7 +240,7 @@ Simulator::warmupWallSeconds(std::size_t i) const
 double
 Simulator::measureWallSeconds() const
 {
-    const Core &c = *cores_.front();
+    const Core &c = cores_.front();
     if (!c.warmupDone)
         return 0.0;
     return std::chrono::duration<double>(
@@ -254,7 +252,7 @@ void
 Simulator::warnIfWarmupUnfinished(const std::string &what,
                                   std::size_t i) const
 {
-    const Core &c = *cores_[i];
+    const Core &c = cores_[i];
     if (c.warmup == 0 || inMeasurement(i))
         return;
     warn("%s ended after %llu of %llu warmup instructions; the "
@@ -338,7 +336,7 @@ Simulator::step(Core &c, const TraceRecord &rec)
 void
 Simulator::onInstruction(const TraceRecord &rec)
 {
-    step(*cores_.front(), rec);
+    step(cores_.front(), rec);
 }
 
 void
@@ -405,7 +403,7 @@ Simulator::run(const std::vector<CorunStream *> &streams)
                 continue;
             if (!barrierOpen_ && inMeasurement(i))
                 continue;
-            const Cycle c = cores_[i]->cpu.currentCycle();
+            const Cycle c = cores_[i].cpu.currentCycle();
             if (pick == n || c < best) {
                 pick = i;
                 best = c;
@@ -422,7 +420,7 @@ Simulator::run(const std::vector<CorunStream *> &streams)
             if (rec.isMemory())
                 rec.addr ^= tag;
         }
-        Core &core = *cores_[pick];
+        Core &core = cores_[pick];
         step(core, rec);
 
         if (core.budgetExhausted || !streams[pick]->next(pending[pick])) {
@@ -448,7 +446,7 @@ Simulator::exportSharedMetrics(MetricsRegistry &metrics) const
 SimResult
 Simulator::coreResult(std::size_t i) const
 {
-    const Core &c = *cores_[i];
+    const Core &c = cores_[i];
     SimResult r;
     r.llcPolicy = cfg.base.hierarchy.llc.replacement;
     r.llcPolicyState = llc_->policy().debugState();

@@ -12,6 +12,7 @@
 #define CACHESCOPE_CORE_SIMULATOR_HH
 
 #include <chrono>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -295,7 +296,7 @@ class Simulator : public InstructionSink
     bool
     wantsMore() const override
     {
-        return !cores_.front()->budgetExhausted;
+        return !cores_.front().budgetExhausted;
     }
 
     /**
@@ -310,13 +311,13 @@ class Simulator : public InstructionSink
     bool
     inMeasurement(std::size_t i = 0) const
     {
-        return cores_[i]->consumed >= cores_[i]->warmup;
+        return cores_[i].consumed >= cores_[i].warmup;
     }
 
     InstCount
     instructionsConsumed(std::size_t i = 0) const
     {
-        return cores_[i]->consumed;
+        return cores_[i].consumed;
     }
 
     /**
@@ -329,7 +330,7 @@ class Simulator : public InstructionSink
                                 std::size_t i = 0) const;
 
     /** Core 0's hierarchy, through which the LLC is reachable. */
-    CacheHierarchy &hierarchy() { return cores_.front()->hier; }
+    CacheHierarchy &hierarchy() { return cores_.front().hier; }
 
     /** Snapshot core 0's measured window (the N = 1 result). */
     SimResult result() const { return coreResult(0); }
@@ -402,8 +403,9 @@ class Simulator : public InstructionSink
     std::unique_ptr<DramLevel> dramLevel_;
     std::unique_ptr<Cache> llc_;
     std::unique_ptr<OnlineProfiler> profiler_;
-    /** Heap-allocated: each CpuCore holds a reference to its hierarchy. */
-    std::vector<std::unique_ptr<Core>> cores_;
+    /** A deque never moves its elements, and each CpuCore holds a
+     *  reference to its hierarchy. */
+    std::deque<Core> cores_;
     bool barrierOpen_ = false;
     std::chrono::steady_clock::time_point barrierAt_{};
     /** forceFunctional(): never hand over to the timed path. */
