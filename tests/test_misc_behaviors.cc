@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/cascade_lake.hh"
@@ -113,7 +114,10 @@ TEST(PrefetchPlumbing, DefaultConfigHasNoPrefetcher)
 
 // ------------------------------------- policy x geometry property sweep --
 
-using PolicyGeometry = std::tuple<const char *, std::uint32_t>;
+// The policy name is a std::string, not a const char *: gtest prints a
+// pointer inside a tuple by address, and that address would end up in
+// the ctest test names (which then change with every build).
+using PolicyGeometry = std::tuple<std::string, std::uint32_t>;
 
 class PolicyGeometryTest
     : public ::testing::TestWithParam<PolicyGeometry>
@@ -149,7 +153,7 @@ INSTANTIATE_TEST_SUITE_P(
                           "hawkeye", "glider", "mpppb"),
         ::testing::Values(1u, 2u, 4u, 11u, 16u)),
     [](const ::testing::TestParamInfo<PolicyGeometry> &info) {
-        return std::string(std::get<0>(info.param)) + "_w" +
+        return std::get<0>(info.param) + "_w" +
                std::to_string(std::get<1>(info.param));
     });
 
