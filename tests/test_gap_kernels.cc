@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <memory>
 #include <set>
 
@@ -15,6 +17,7 @@
 #include "graph/generators.hh"
 #include "test_helpers.hh"
 #include "trace/profile.hh"
+#include "util/checksum.hh"
 
 namespace cachescope {
 namespace {
@@ -149,6 +152,119 @@ TEST(GapWorkloadTest, RepeatsUntilBudgetExhausted)
     BoundedSink sink(2'000'000);
     workload.run(sink);
     EXPECT_EQ(sink.consumed, 2'000'000u);
+}
+
+/** Checksum64 over every record's (pc, addr, kind, size). */
+class StreamDigestSink : public InstructionSink
+{
+  public:
+    void
+    onInstruction(const TraceRecord &rec) override
+    {
+        unsigned char bytes[18];
+        std::memcpy(bytes, &rec.pc, 8);
+        std::memcpy(bytes + 8, &rec.addr, 8);
+        bytes[16] = static_cast<unsigned char>(rec.kind);
+        bytes[17] = rec.size;
+        sum.update(bytes, sizeof(bytes));
+        ++count;
+    }
+
+    Checksum64 sum;
+    std::uint64_t count = 0;
+};
+
+std::shared_ptr<const CsrGraph>
+smallUniformGraph()
+{
+    static auto g = std::make_shared<const CsrGraph>(
+        makeUniform(10, 8, 43));
+    return g;
+}
+
+/** Run @p workload once and compare its stream to a pinned answer. */
+void
+expectPinnedStream(Workload &workload, std::uint64_t records,
+                   std::uint64_t digest)
+{
+    StreamDigestSink sink;
+    workload.run(sink);
+    char actual[64];
+    std::snprintf(actual, sizeof(actual), "%llu, 0x%016llxull",
+                  static_cast<unsigned long long>(sink.count),
+                  static_cast<unsigned long long>(sink.sum.digest()));
+    EXPECT_EQ(sink.count, records) << "now " << actual;
+    EXPECT_EQ(sink.sum.digest(), digest) << "now " << actual;
+}
+
+TEST(GapStreamDigests, MatchPinnedKnownAnswers)
+{
+    // Known-answer digests of each kernel's full record stream (one
+    // repeat) on both scale-10 inputs. They pin what the kernels emit,
+    // not just that it is deterministic: a change to how the kernels
+    // reach the graph (traced views, cached sorted adjacency) must
+    // leave every stream byte-identical. Re-pin only for an intended
+    // change to a kernel's access pattern.
+    struct Case
+    {
+        GapKernel kernel;
+        bool uniform;
+        std::uint64_t records;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {GapKernel::Bfs, false, 220819, 0x36105936665fdbcaull},
+        {GapKernel::PageRank, false, 2231510, 0x1dba424fac4efc0full},
+        {GapKernel::Cc, false, 664120, 0x41a19a31f68f5076ull},
+        {GapKernel::Bc, false, 464195, 0xea531684b179d9d9ull},
+        {GapKernel::Sssp, false, 523556, 0xff1c3517eb2dceceull},
+        {GapKernel::Tc, false, 29657250, 0x191ed64db24845b6ull},
+        {GapKernel::Bfs, true, 224204, 0x79d5a96d51a3c94full},
+        {GapKernel::PageRank, true, 2242040, 0xb90ac7c36b9125baull},
+        {GapKernel::Cc, true, 667676, 0x0503da5fb34c1a05ull},
+        {GapKernel::Bc, true, 471020, 0x4247c0b8b4228360ull},
+        {GapKernel::Sssp, true, 561786, 0x99523deead7434eaull},
+        {GapKernel::Tc, true, 3441514, 0x875b20fc61851a07ull},
+    };
+    for (const Case &c : cases) {
+        const char *tag = c.uniform ? "urand10" : "kron10";
+        SCOPED_TRACE(std::string(gapKernelName(c.kernel)) + "." + tag);
+        GapKernelParams params;
+        params.maxRepeats = 1;
+        GapWorkload workload(c.kernel, tag,
+                             c.uniform ? smallUniformGraph()
+                                       : smallGraph(),
+                             params);
+        expectPinnedStream(workload, c.records, c.digest);
+    }
+}
+
+TEST(GapStreamDigests, DirectionOptimizingBfsMatchesPinnedKnownAnswer)
+{
+    GapKernelParams params;
+    params.maxRepeats = 1;
+    params.directionOptimizingBfs = true;
+    GapWorkload workload(GapKernel::Bfs, "kron10", smallGraph(), params);
+    expectPinnedStream(workload, 59341, 0x5017eb542d4aad48ull);
+}
+
+TEST(GapStreamDigests, EdgelessGraphMatchesPinnedKnownAnswer)
+{
+    // With no edges the neighbour (and SSSP weight) arrays are empty
+    // but still take their own page of the simulated address space, so
+    // every property array keeps its address. All six kernels feed one
+    // digest.
+    auto edgeless = std::make_shared<const CsrGraph>(
+        CsrGraph::fromEdges(16, {}, /*symmetrize=*/true));
+    StreamDigestSink sink;
+    for (GapKernel kernel : allKernels()) {
+        GapKernelParams params;
+        params.maxRepeats = 1;
+        GapWorkload(kernel, "empty16", edgeless, params).run(sink);
+    }
+    EXPECT_EQ(sink.count, 2085u);
+    EXPECT_EQ(sink.sum.digest(), 0x419843d795cd5802ull)
+        << std::hex << sink.sum.digest();
 }
 
 TEST(GapSuiteTest, BuildsAllKernelInputPairs)
