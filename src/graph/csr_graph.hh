@@ -73,7 +73,7 @@ class CsrGraph
         return {wts.data() + offsets[v], offsets[v + 1] - offsets[v]};
     }
 
-    /** Raw arrays, exposed so kernels can mirror them as TracedArrays. */
+    /** Raw arrays, exposed so kernels can trace them in place. */
     const std::vector<EdgeId> &offsetArray() const { return offsets; }
     const std::vector<NodeId> &neighborArray() const { return neigh; }
     const std::vector<std::uint32_t> &weightArray() const { return wts; }

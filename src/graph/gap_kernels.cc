@@ -2,11 +2,12 @@
  * @file
  * Instrumented GAP kernel implementations.
  *
- * Common shape: CSR arrays (OA/NA and, for SSSP, weights) are mirrored
- * into TracedArrays; property arrays are TracedArrays; frontier queues
- * are TracedArrays. Setup work that a real benchmark would do outside
- * the region of interest (initializing property arrays, sorting
- * adjacency lists) uses the untraced raw accessors.
+ * Common shape: CSR arrays (OA/NA and, for SSSP, weights) are traced
+ * read-only views over the shared graph, so a run copies none of it;
+ * property arrays and frontier queues are owning TracedArrays. Setup
+ * work that a real benchmark would do outside the region of interest
+ * (initializing property arrays) uses the untraced raw accessors; TC's
+ * sorted adjacency is built once per workload, not per run.
  *
  * Every inner loop polls sink.wantsMore() at a coarse granularity so a
  * simulator with an instruction budget stops the workload early.
@@ -16,6 +17,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "trace/pc_site.hh"
 #include "trace/traced_memory.hh"
@@ -26,21 +28,21 @@ namespace cachescope {
 
 namespace {
 
-/** Traced mirror of a CSR graph's arrays. */
+/** Traced read-only views of a CSR graph's arrays. */
 struct TracedCsr
 {
-    TracedArray<EdgeId> oa;
-    TracedArray<NodeId> na;
+    TracedArray<const EdgeId> oa;
+    TracedArray<const NodeId> na;
+
+    /** @p neighbors replaces the graph's own NA (TC's sorted copy). */
+    TracedCsr(const CsrGraph &g, std::span<const NodeId> neighbors,
+              AddressSpace &space, InstructionSink &sink)
+        : oa(g.offsetArray(), space, sink), na(neighbors, space, sink)
+    {}
 
     TracedCsr(const CsrGraph &g, AddressSpace &space, InstructionSink &sink)
-        : oa(g.numNodes() + 1, space, sink),
-          na(g.numEdges() == 0 ? 1 : g.numEdges(), space, sink)
-    {
-        for (std::size_t i = 0; i < g.offsetArray().size(); ++i)
-            oa.raw(i) = g.offsetArray()[i];
-        for (std::size_t i = 0; i < g.neighborArray().size(); ++i)
-            na.raw(i) = g.neighborArray()[i];
-    }
+        : TracedCsr(g, g.neighborArray(), space, sink)
+    {}
 };
 
 /** Pick a source vertex with non-zero degree (few retries, then 0). */
@@ -483,10 +485,7 @@ runSssp(const CsrGraph &g, InstructionSink &sink, const GapKernelParams &p)
     constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
     AddressSpace space;
     TracedCsr csr(g, space, sink);
-    TracedArray<std::uint32_t> wt(
-        g.numEdges() == 0 ? 1 : g.numEdges(), space, sink);
-    for (std::size_t i = 0; i < g.weightArray().size(); ++i)
-        wt.raw(i) = g.weightArray()[i];
+    TracedArray<const std::uint32_t> wt(g.weightArray(), space, sink);
     TracedArray<std::uint32_t> dist(n, space, sink, kInf);
     TracedArray<std::uint8_t> pending(n, space, sink, 0);
     TracedArray<NodeId> curr(n, space, sink, 0);
@@ -564,22 +563,15 @@ runSssp(const CsrGraph &g, InstructionSink &sink, const GapKernelParams &p)
 
 // ------------------------------------------------------------------- TC --
 
+/** @p sorted_na is the NA with every adjacency list sorted. */
 void
-runTc(const CsrGraph &g, InstructionSink &sink, const GapKernelParams &p)
+runTc(const CsrGraph &g, std::span<const NodeId> sorted_na,
+      InstructionSink &sink, const GapKernelParams &p)
 {
     const NodeId n = g.numNodes();
     AddressSpace space;
-    TracedCsr csr(g, space, sink);
+    TracedCsr csr(g, sorted_na, space, sink);
     InstructionMix mix(sink);
-
-    // GAP sorts adjacency lists before intersecting; this is setup work
-    // outside the region of interest.
-    NodeId *na_base = &csr.na.raw(0);
-    for (NodeId v = 0; v < n; ++v) {
-        const EdgeId off0 = g.offsetArray()[v];
-        const EdgeId off1 = g.offsetArray()[v + 1];
-        std::sort(na_base + off0, na_base + off1);
-    }
 
     PcRegion region(p.pcWorkloadId);
     const Pc pc_oa0 = region.allocate();
@@ -660,6 +652,23 @@ GapWorkload::GapWorkload(GapKernel kernel, std::string graph_tag,
     CS_ASSERT(g != nullptr, "GapWorkload needs a graph");
 }
 
+const std::vector<NodeId> &
+GapWorkload::sortedNeighbors()
+{
+    // GAP sorts adjacency lists before intersecting; this is setup work
+    // outside the region of interest. Sweep workers may run this
+    // workload concurrently, hence call_once.
+    std::call_once(sortedOnce, [this] {
+        const std::vector<EdgeId> &offsets = g->offsetArray();
+        sortedNeigh = g->neighborArray();
+        for (NodeId v = 0; v < g->numNodes(); ++v) {
+            std::sort(sortedNeigh.begin() + offsets[v],
+                      sortedNeigh.begin() + offsets[v + 1]);
+        }
+    });
+    return sortedNeigh;
+}
+
 InstCount
 GapWorkload::warmupHint() const
 {
@@ -685,7 +694,9 @@ GapWorkload::run(InstructionSink &sink)
       case GapKernel::Cc: runCc(*g, sink, params); break;
       case GapKernel::Bc: runBc(*g, sink, params); break;
       case GapKernel::Sssp: runSssp(*g, sink, params); break;
-      case GapKernel::Tc: runTc(*g, sink, params); break;
+      case GapKernel::Tc:
+        runTc(*g, sortedNeighbors(), sink, params);
+        break;
     }
     sink.onEnd();
 }

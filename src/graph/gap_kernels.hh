@@ -5,8 +5,8 @@
  * Betweenness Centrality, Single-Source Shortest Paths and Triangle
  * Counting.
  *
- * Each kernel is the real algorithm executing over TracedArray-mirrored
- * CSR structures, so the emitted stream has the genuine data-dependent
+ * Each kernel is the real algorithm executing over TracedArray views of
+ * the CSR structures, so the emitted stream has the genuine data-dependent
  * access pattern: sequential Offset/Neighbour Array scans interleaved
  * with random Property Array accesses indexed by neighbour ids. Static
  * access sites get stable synthetic PCs from a per-workload PcRegion —
@@ -18,7 +18,9 @@
 #define CACHESCOPE_GRAPH_GAP_KERNELS_HH
 
 #include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "graph/csr_graph.hh"
 #include "trace/workload.hh"
@@ -72,7 +74,8 @@ struct GapKernelParams
  *
  * The graph is shared: a suite builds each input once and every kernel
  * workload references it. run() is deterministic for a fixed
- * construction, as Workload requires.
+ * construction, as Workload requires, and may be called from several
+ * threads at once.
  */
 class GapWorkload : public Workload
 {
@@ -96,10 +99,16 @@ class GapWorkload : public Workload
     const CsrGraph &graph() const { return *g; }
 
   private:
+    /** @return the NA with each adjacency list sorted (TC), built on
+     *  first use and kept for every later run. */
+    const std::vector<NodeId> &sortedNeighbors();
+
     GapKernel kern;
     std::string displayName;
     std::shared_ptr<const CsrGraph> g;
     GapKernelParams params;
+    std::once_flag sortedOnce;
+    std::vector<NodeId> sortedNeigh;
 };
 
 } // namespace cachescope

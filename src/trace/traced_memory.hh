@@ -15,6 +15,8 @@
 #define CACHESCOPE_TRACE_TRACED_MEMORY_HH
 
 #include <cstdint>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "trace/record.hh"
@@ -52,7 +54,13 @@ class AddressSpace
 };
 
 /**
- * A vector whose element accesses emit trace records.
+ * An array whose element accesses emit trace records.
+ *
+ * TracedArray<T> owns its elements. TracedArray<const T> is a read-only
+ * view over elements owned elsewhere (a shared input graph, say): it
+ * takes its own region of the address space and traces its loads
+ * exactly as an owned copy would, without paying for the copy. Both
+ * forms share load(), raw() and the address arithmetic.
  *
  * Traced accessors take the synthetic PC of the static access site;
  * raw accessors skip tracing for setup/verification code that would not
@@ -62,6 +70,8 @@ template <typename T>
 class TracedArray
 {
   public:
+    using Value = std::remove_const_t<T>;
+
     /**
      * @param count element count.
      * @param space simulated address space to allocate from.
@@ -69,30 +79,48 @@ class TracedArray
      * @param init initial element value.
      */
     TracedArray(std::size_t count, AddressSpace &space,
-                InstructionSink &sink, const T &init = T{})
-        : data(count, init), base(space.allocate(count * sizeof(T))),
+                InstructionSink &sink, const Value &init = Value{})
+        requires(!std::is_const_v<T>)
+        : owned(count, init), elems(owned),
+          base(space.allocate(count * sizeof(T))), out(&sink)
+    {}
+
+    /**
+     * A read-only view over @p view, which must outlive this array. An
+     * empty view still takes a page of @p space, as every allocation
+     * does.
+     */
+    TracedArray(std::span<T> view, AddressSpace &space,
+                InstructionSink &sink)
+        requires std::is_const_v<T>
+        : elems(view), base(space.allocate(view.size() * sizeof(T))),
           out(&sink)
     {}
 
+    /** An owning array's span points into its own vector. */
+    TracedArray(const TracedArray &) = delete;
+    TracedArray &operator=(const TracedArray &) = delete;
+
     /** Traced read of element @p i from call site @p pc. */
-    T
+    Value
     load(std::size_t i, Pc pc) const
     {
         out->onInstruction(TraceRecord::load(pc, addressOf(i), sizeof(T)));
-        return data[i];
+        return elems[i];
     }
 
     /** Traced write of element @p i from call site @p pc. */
     void
-    store(std::size_t i, const T &value, Pc pc)
+    store(std::size_t i, const Value &value, Pc pc)
+        requires(!std::is_const_v<T>)
     {
         out->onInstruction(TraceRecord::store(pc, addressOf(i), sizeof(T)));
-        data[i] = value;
+        elems[i] = value;
     }
 
     /** Untraced access for setup and result checking. */
-    T &raw(std::size_t i) { return data[i]; }
-    const T &raw(std::size_t i) const { return data[i]; }
+    T &raw(std::size_t i) { return elems[i]; }
+    const T &raw(std::size_t i) const { return elems[i]; }
 
     /** @return simulated address of element @p i. */
     Addr
@@ -101,11 +129,13 @@ class TracedArray
         return base + static_cast<Addr>(i) * sizeof(T);
     }
 
-    std::size_t size() const { return data.size(); }
+    std::size_t size() const { return elems.size(); }
     Addr baseAddress() const { return base; }
 
   private:
-    std::vector<T> data;
+    /** Backing store of an owning array; empty for a view. */
+    std::vector<Value> owned;
+    std::span<T> elems;
     Addr base;
     InstructionSink *out;
 };

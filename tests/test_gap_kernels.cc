@@ -11,6 +11,8 @@
 #include <cstring>
 #include <memory>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "graph/gap_kernels.hh"
 #include "graph/gap_suite.hh"
@@ -265,6 +267,48 @@ TEST(GapStreamDigests, EdgelessGraphMatchesPinnedKnownAnswer)
     EXPECT_EQ(sink.count, 2085u);
     EXPECT_EQ(sink.sum.digest(), 0x419843d795cd5802ull)
         << std::hex << sink.sum.digest();
+}
+
+TEST(GapWorkloadTest, SharedWorkloadsRunConcurrently)
+{
+    // A sweep hands one workload object to several workers at once. TC
+    // builds its sorted adjacency on the first run; racing threads must
+    // all see it complete, and every stream must match a serial run.
+    GapKernelParams params;
+    params.maxRepeats = 1;
+    const GapKernel kernels[] = {GapKernel::Tc, GapKernel::Sssp};
+    std::uint64_t serial[2];
+    for (int k = 0; k < 2; ++k) {
+        StreamDigestSink sink;
+        GapWorkload(kernels[k], "urand10", smallUniformGraph(), params)
+            .run(sink);
+        serial[k] = sink.sum.digest();
+    }
+
+    GapWorkload tc(GapKernel::Tc, "urand10", smallUniformGraph(), params);
+    GapWorkload sssp(GapKernel::Sssp, "urand10", smallUniformGraph(),
+                     params);
+    GapWorkload *shared[] = {&tc, &sssp};
+    constexpr int kThreads = 4;
+    std::uint64_t digests[kThreads][2] = {};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            // Half the threads start with TC so its first runs race.
+            for (int i = 0; i < 2; ++i) {
+                const int k = (t + i) % 2;
+                StreamDigestSink sink;
+                shared[k]->run(sink);
+                digests[t][k] = sink.sum.digest();
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(digests[t][0], serial[0]) << "tc, thread " << t;
+        EXPECT_EQ(digests[t][1], serial[1]) << "sssp, thread " << t;
+    }
 }
 
 TEST(GapSuiteTest, BuildsAllKernelInputPairs)

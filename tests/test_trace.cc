@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -594,6 +595,46 @@ TEST(TracedArray, AddressesAreContiguous)
     TracedArray<std::uint64_t> arr(8, space, sink);
     for (std::size_t i = 0; i + 1 < arr.size(); ++i)
         EXPECT_EQ(arr.addressOf(i + 1), arr.addressOf(i) + 8);
+}
+
+TEST(TracedArray, ViewTracesLikeAnOwnedCopy)
+{
+    // A read-only view must take the same address range and emit the
+    // same records as an owned copy of the same elements would.
+    const std::vector<std::uint32_t> data = {5, 6, 7, 8, 9};
+    AddressSpace owned_space, view_space;
+    VectorSink owned_sink, view_sink;
+    TracedArray<std::uint32_t> copy(data.size(), owned_space, owned_sink);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        copy.raw(i) = data[i];
+    TracedArray<const std::uint32_t> view(data, view_space, view_sink);
+
+    EXPECT_EQ(view.baseAddress(), copy.baseAddress());
+    EXPECT_EQ(view_space.bytesAllocated(), owned_space.bytesAllocated());
+    EXPECT_EQ(view.size(), data.size());
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        EXPECT_EQ(view.load(i, 0x400000), copy.load(i, 0x400000));
+        EXPECT_EQ(&view.raw(i), &data[i]) << "a view must not copy";
+    }
+    ASSERT_EQ(view_sink.records.size(), owned_sink.records.size());
+    for (std::size_t i = 0; i < view_sink.records.size(); ++i) {
+        EXPECT_EQ(view_sink.records[i].addr, owned_sink.records[i].addr);
+        EXPECT_EQ(view_sink.records[i].size, owned_sink.records[i].size);
+        EXPECT_EQ(view_sink.records[i].kind, InstKind::Load);
+    }
+}
+
+TEST(TracedArray, EmptyViewStillTakesAPage)
+{
+    // An edgeless graph's neighbour view: later arrays must land where
+    // they would after a one-element array.
+    AddressSpace empty_space, one_space;
+    VectorSink sink;
+    TracedArray<const int> empty(std::span<const int>{}, empty_space,
+                                 sink);
+    TracedArray<int> one(1, one_space, sink);
+    EXPECT_EQ(empty_space.bytesAllocated(), one_space.bytesAllocated());
+    EXPECT_EQ(empty_space.allocate(8), one_space.allocate(8));
 }
 
 TEST(InstructionMix, EmitsRequestedCounts)
