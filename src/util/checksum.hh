@@ -115,11 +115,15 @@ class Checksum64x8
         lane_[0] = s0, lane_[1] = s1, lane_[2] = s2, lane_[3] = s3;
         lane_[4] = s4, lane_[5] = s5, lane_[6] = s6, lane_[7] = s7;
         off_ += i - fast_start;
-        while (i < len) {
-            lane_[off_ & 7] = (lane_[off_ & 7] ^ p[i]) * kPrime;
-            ++off_;
-            ++i;
+        // Fewer than 8 bytes remain. Counting k against that remainder,
+        // not i against len, lets GCC bound the loop; otherwise -O3
+        // reports a false "iteration 8 invokes undefined behavior".
+        const std::size_t tail = len - i;
+        for (std::size_t k = 0; k < tail; ++k) {
+            const std::size_t lane = (off_ + k) & 7;
+            lane_[lane] = (lane_[lane] ^ p[i + k]) * kPrime;
         }
+        off_ += tail;
     }
 
     /** @return the digest of everything update()d so far. */
