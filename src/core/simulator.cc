@@ -248,6 +248,15 @@ Simulator::measureWallSeconds() const
         .count();
 }
 
+std::optional<std::chrono::steady_clock::time_point>
+Simulator::firstInstructionAt() const
+{
+    const Core &c = cores_.front();
+    if (!c.sawInstruction)
+        return std::nullopt;
+    return c.firstInstructionAt;
+}
+
 void
 Simulator::warnIfWarmupUnfinished(const std::string &what,
                                   std::size_t i) const

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -357,6 +358,10 @@ class Simulator : public InstructionSink
 
     /** Wall seconds since core 0's warmup boundary (0 until then). */
     double measureWallSeconds() const;
+
+    /** When core 0 consumed its first instruction; empty until then. */
+    std::optional<std::chrono::steady_clock::time_point>
+    firstInstructionAt() const;
 
   private:
     /** One core's private state; the arbiter and push path step it. */

@@ -13,6 +13,7 @@
 #include <exception>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "harness/checkpoint.hh"
@@ -31,16 +32,21 @@ namespace {
  * sim.throughput_mips (instructions pushed through the pipeline,
  * warmup included, per wall-clock second), split into
  * sim.warmup_wall_seconds + sim.measure_wall_seconds so the functional
- * warmup speedup is directly observable in every BENCH JSON.
+ * warmup speedup is directly observable in every BENCH JSON. The part
+ * of the warmup spent before the first instruction reached the
+ * simulator (Simulator construction, generator set-up) is
+ * sim.setup_wall_seconds; a run that consumed nothing was all set-up.
  * steady_clock only, so the numbers survive clock adjustments
  * mid-campaign. All of these gauges are nondeterministic by nature and
  * are stripped by the determinism tooling (difftest byte-identity,
  * golden metric-tree tests).
  */
 void
-setThroughputGauges(SimResult &result, InstCount instructions,
-                    std::chrono::steady_clock::time_point start,
-                    double measure_seconds)
+setThroughputGauges(
+    SimResult &result, InstCount instructions,
+    std::chrono::steady_clock::time_point start,
+    std::optional<std::chrono::steady_clock::time_point> first_instruction,
+    double measure_seconds)
 {
     const double secs = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
@@ -54,9 +60,17 @@ setThroughputGauges(SimResult &result, InstCount instructions,
     const double divisor = secs > kMinSeconds ? secs : kMinSeconds;
     const double measure =
         std::clamp(measure_seconds, 0.0, secs < 0.0 ? 0.0 : secs);
+    const double warmup = secs - measure;
+    double setup = warmup;
+    if (first_instruction) {
+        setup = std::clamp(
+            std::chrono::duration<double>(*first_instruction - start)
+                .count(),
+            0.0, std::max(warmup, 0.0));
+    }
     result.extraMetrics.setGauge("sim.wall_seconds", secs);
-    result.extraMetrics.setGauge("sim.warmup_wall_seconds",
-                                 secs - measure);
+    result.extraMetrics.setGauge("sim.warmup_wall_seconds", warmup);
+    result.extraMetrics.setGauge("sim.setup_wall_seconds", setup);
     result.extraMetrics.setGauge("sim.measure_wall_seconds", measure);
     result.extraMetrics.setGauge(
         "sim.throughput_mips",
@@ -77,7 +91,7 @@ runOne(Workload &workload, const SimConfig &config)
     SimResult result = sim.result();
     sim.warnIfWarmupUnfinished("workload '" + workload.name() + "'");
     setThroughputGauges(result, sim.instructionsConsumed(), start,
-                        sim.measureWallSeconds());
+                        sim.firstInstructionAt(), sim.measureWallSeconds());
     return result;
 }
 
@@ -102,6 +116,7 @@ runBelady(Workload &workload, const SimConfig &base_config)
     // the whole pass runs functionally when functional warmup is on.
     auto stream = std::make_shared<std::vector<Addr>>();
     InstCount pass1_instructions = 0;
+    std::optional<std::chrono::steady_clock::time_point> first_instruction;
     {
         Simulator sim(config);
         if (config.warmupMode == WarmupMode::Functional)
@@ -112,6 +127,7 @@ runBelady(Workload &workload, const SimConfig &base_config)
             });
         workload.run(sim);
         pass1_instructions = sim.instructionsConsumed();
+        first_instruction = sim.firstInstructionAt();
     }
 
     // Pass 2: replay against the recorded future.
@@ -130,7 +146,7 @@ runBelady(Workload &workload, const SimConfig &base_config)
     // warmup side of the wall-time split.
     setThroughputGauges(result,
                         pass1_instructions + sim.instructionsConsumed(),
-                        start, sim.measureWallSeconds());
+                        start, first_instruction, sim.measureWallSeconds());
     return result;
 }
 

@@ -110,6 +110,19 @@ TEST(Harness, ThroughputGaugesAreAlwaysPresentAndFinite)
     ASSERT_NE(mips, gauges.end());
     EXPECT_TRUE(std::isfinite(mips->second));
     EXPECT_GT(mips->second, 0.0);
+
+    // Set-up (cell start to first consumed instruction) is the head of
+    // the warmup phase, for the exact run and for both Belady passes.
+    for (const SimResult &result : {r, runBelady(w, cfg)}) {
+        const auto &g = result.extraMetrics.gauges();
+        const auto setup = g.find("sim.setup_wall_seconds");
+        const auto warmup = g.find("sim.warmup_wall_seconds");
+        ASSERT_NE(setup, g.end()) << result.llcPolicy;
+        ASSERT_NE(warmup, g.end()) << result.llcPolicy;
+        EXPECT_TRUE(std::isfinite(setup->second)) << result.llcPolicy;
+        EXPECT_GE(setup->second, 0.0) << result.llcPolicy;
+        EXPECT_LE(setup->second, warmup->second) << result.llcPolicy;
+    }
 }
 
 TEST(Harness, BeladyBeatsEveryOnlinePolicyOnLlcMisses)
