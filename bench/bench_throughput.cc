@@ -8,7 +8,10 @@
  * trace through the two-speed engine's fast-sweep configuration
  * (functional warmup over the first half, 1/16 LLC set-sampling) so
  * its speedup is tracked as "fast.sim.throughput_mips" alongside the
- * exact-path number.
+ * exact-path number. A fourth phase times workload generation alone:
+ * the bfs and tc GAP suite members at one sweep cell's budget, into a
+ * sink that discards every record ("gen.throughput_mips") — the part
+ * of every sweep cell that no simulator fast path touches.
  *
  * The replay numbers are the ones the CI perf-smoke job tracks: the
  * sweep wall-clock that gates every experiment in EXPERIMENTS.md is
@@ -23,12 +26,14 @@
  * so the CI job stays time-boxed.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 
 #include "bench_util.hh"
 #include "core/simulator.hh"
+#include "graph/gap_suite.hh"
 #include "harness/workload_zoo.hh"
 #include "trace/trace_io.hh"
 
@@ -141,6 +146,44 @@ main()
           1e6
         : 0.0;
 
+    // --- Phase 4: generation only ----------------------------------------
+    // The bfs and tc suite members, each given one sweep cell's budget
+    // (warmup + measure) into a sink that counts and drops every record.
+    // Each runs twice and only the second run is timed: that is what
+    // every later cell of a sweep pays (TC sorts its adjacency on its
+    // first run only).
+    GapSuiteConfig gen_suite_cfg;
+    gen_suite_cfg.scale = zoo.scale;
+    gen_suite_cfg.avgDegree = zoo.avgDegree;
+    gen_suite_cfg.seed = zoo.seed;
+    gen_suite_cfg.includeUniform = false;
+    gen_suite_cfg.kernels = {GapKernel::Bfs, GapKernel::Tc};
+    const SimConfig cell_cfg = bench::sweepConfig();
+    struct Discard : InstructionSink
+    {
+        explicit Discard(std::uint64_t budget) : budget(budget) {}
+        void onInstruction(const TraceRecord &) override { ++seen; }
+        bool wantsMore() const override { return seen < budget; }
+        std::uint64_t budget;
+        std::uint64_t seen = 0;
+    };
+    double gen_s = 0.0;
+    std::uint64_t generated = 0;
+    for (const auto &member : makeGapSuite(gen_suite_cfg)) {
+        const std::uint64_t budget =
+            std::max(cell_cfg.warmupInstructions, member->warmupHint()) +
+            cell_cfg.measureInstructions;
+        Discard untimed(budget);
+        member->run(untimed);
+        Discard timed(budget);
+        const auto gen_start = std::chrono::steady_clock::now();
+        member->run(timed);
+        gen_s += secondsSince(gen_start);
+        generated += timed.seen;
+    }
+    const double gen_mips =
+        gen_s > 0.0 ? static_cast<double>(generated) / gen_s / 1e6 : 0.0;
+
     std::error_code ec;
     std::filesystem::remove(trace_path, ec);
 
@@ -164,6 +207,11 @@ main()
     table.addNumber(static_cast<double>(fast_replayed), 0);
     table.addNumber(fast_s, 2);
     table.addNumber(fast_mips, 1);
+    table.newRow();
+    table.addCell("generation");
+    table.addNumber(static_cast<double>(generated), 0);
+    table.addNumber(gen_s, 2);
+    table.addNumber(gen_mips, 1);
     bench::emitTable(table, "throughput");
 
     const SimResult result = sim.result();
@@ -181,6 +229,9 @@ main()
     reg.setGauge("fast.sim.measure_wall_seconds",
                  fast_sim.measureWallSeconds());
     reg.setGauge("fast.sim.throughput_mips", fast_mips);
+    reg.setCounter("gen.records", generated);
+    reg.setGauge("gen.wall_seconds", gen_s);
+    reg.setGauge("gen.throughput_mips", gen_mips);
     bench_metrics.emit();
     return 0;
 }
