@@ -344,13 +344,9 @@ Cache::access(Addr addr, Pc pc, AccessType type, Cycle now)
     const auto type_idx = static_cast<std::size_t>(type);
     const Cycle lookup_done = now + cfg.hitLatency;
 
-    if (hooksArmed_ && accessHook && type != AccessType::Writeback)
-        accessHook(block, pc, type);
-
-    // Set-sampling filter. Placed after the access hook so the Belady
-    // oracle still records the full stream, but before any state is
-    // touched: an access to an unsampled set costs this one branch and
-    // nothing else — no tag scan, no policy, no stats, no level below.
+    // Set-sampling filter, placed before any state is touched: an
+    // access to an unsampled set costs this one branch and nothing
+    // else — no tag scan, no policy, no stats, no level below.
     // The event hook keeps its contract of seeing exactly what the
     // statistics count, so it does not fire for skipped accesses.
     if (sampling_) {
@@ -409,7 +405,7 @@ Cache::access(Addr addr, Pc pc, AccessType type, Cycle now)
                 repl->update(set, w, pc, block, type, /*hit=*/true);
                 break;
             }
-            if (hooksArmed_ && eventHook) {
+            if (eventHook) {
                 eventHook({block, pc, type, set, w, /*hit=*/true,
                            /*bypassed=*/false, kInvalidAddr});
             }
@@ -459,7 +455,7 @@ Cache::access(Addr addr, Pc pc, AccessType type, Cycle now)
             ++stats_.bypasses;
             if (coreSlice_)
                 ++coreSlice_->bypasses;
-            if (hooksArmed_ && eventHook) {
+            if (eventHook) {
                 eventHook({block, pc, type, set, 0, /*hit=*/false,
                            /*bypassed=*/true, kInvalidAddr});
             }
@@ -499,7 +495,7 @@ Cache::access(Addr addr, Pc pc, AccessType type, Cycle now)
     else
         clearBit(prefetchedBits_, idx);
     repl->update(set, victim_way, pc, block, type, /*hit=*/false);
-    if (hooksArmed_ && eventHook) {
+    if (eventHook) {
         eventHook({block, pc, type, set, victim_way, /*hit=*/false,
                    /*bypassed=*/false, victim_block});
     }

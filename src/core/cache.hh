@@ -299,18 +299,6 @@ class Cache final : public MemoryLevel
     void setWayPartition(std::uint32_t ways_per_core);
 
     /**
-     * Hook invoked at the start of every demand (non-writeback) access
-     * with (block address, pc, type). Used to record the LLC stream for
-     * the Belady oracle and by tests.
-     */
-    using AccessHook = std::function<void(Addr, Pc, AccessType)>;
-    void setAccessHook(AccessHook hook)
-    {
-        accessHook = std::move(hook);
-        rearmHooks();
-    }
-
-    /**
      * One fully resolved access, as observed by the event hook. Fired
      * once per access() call (including writebacks and recursive
      * prefetch fills), after the hit/miss outcome, victim choice and
@@ -338,7 +326,6 @@ class Cache final : public MemoryLevel
     void setEventHook(EventHook hook)
     {
         eventHook = std::move(hook);
-        rearmHooks();
     }
 
   private:
@@ -363,13 +350,6 @@ class Cache final : public MemoryLevel
 
     /** Classify repl's concrete type and cache the fast-path pointer. */
     void detectHitFastPath();
-
-    /** Keep hooksArmed_ in sync with the two hook slots. */
-    void rearmHooks()
-    {
-        hooksArmed_ = static_cast<bool>(accessHook) ||
-                      static_cast<bool>(eventHook);
-    }
 
     /**
      * Forward an access to the level below, using the cached concrete
@@ -437,10 +417,7 @@ class Cache final : public MemoryLevel
      *  eviction; allocated lazily by setWayPartition(). */
     std::vector<std::uint64_t> partTick_;
     std::uint64_t partClock_ = 0;
-    AccessHook accessHook;
     EventHook eventHook;
-    /** One-branch guard for the hook calls on the hot path. */
-    bool hooksArmed_ = false;
     std::vector<Addr> prefetchScratch;
 
     /** Pick the sampled-set subset (ctor helper; no-op at rate 1). */

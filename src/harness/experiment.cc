@@ -105,25 +105,27 @@ runBelady(Workload &workload, const SimConfig &base_config)
     // Belady is incompatible with LLC set-sampling: the FutureOracle
     // counts positions over the *full* recorded stream, and a sampled
     // replay would consume oracle positions out of step. Force exact
-    // simulation for both passes; the fast-sweep preset still speeds
-    // pass 1 up via functional mode below.
+    // simulation for both passes.
     config.hierarchy.llc.sampleSets = 1;
 
     // Pass 1: record the LLC demand stream. The stream is independent
     // of the LLC policy (the levels above are fixed), so any policy
-    // works for recording; use the configured one. Only architectural
-    // state matters here — the recorded stream carries no timing — so
-    // the whole pass runs functionally when functional warmup is on.
+    // works for recording; use the configured one. The recorded stream
+    // carries no timing and the functional path reproduces it exactly,
+    // so the whole pass runs functionally, without the profiler, whose
+    // event hook the recorder takes over.
     auto stream = std::make_shared<std::vector<Addr>>();
     InstCount pass1_instructions = 0;
     std::optional<std::chrono::steady_clock::time_point> first_instruction;
     {
-        Simulator sim(config);
-        if (config.warmupMode == WarmupMode::Functional)
-            sim.forceFunctional();
-        sim.hierarchy().llc().setAccessHook(
-            [&stream](Addr block, Pc, AccessType) {
-                stream->push_back(block);
+        SimConfig record_config = config;
+        record_config.profile.enabled = false;
+        Simulator sim(record_config);
+        sim.forceFunctional();
+        sim.hierarchy().llc().setEventHook(
+            [&stream](const Cache::AccessEvent &e) {
+                if (e.type != AccessType::Writeback)
+                    stream->push_back(e.block);
             });
         workload.run(sim);
         pass1_instructions = sim.instructionsConsumed();

@@ -141,18 +141,23 @@ TEST_F(CacheFixture, InvalidateAllClearsContentAndStats)
     EXPECT_EQ(cache.stats().missesOf(AccessType::Load), 1u);
 }
 
-TEST_F(CacheFixture, AccessHookSeesDemandOnly)
+TEST_F(CacheFixture, EventHookReportsWritebacksWithTheirType)
 {
+    // The hook reports every access, writebacks included; a caller
+    // that wants the demand stream (the Belady recorder) filters on
+    // the type itself.
     std::vector<std::pair<Addr, AccessType>> seen;
-    cache.setAccessHook([&seen](Addr block, Pc, AccessType type) {
-        seen.emplace_back(block, type);
+    cache.setEventHook([&seen](const Cache::AccessEvent &e) {
+        seen.emplace_back(e.block, e.type);
     });
     cache.access(0x1000, 1, AccessType::Load, 0);
     cache.access(0x1000, 1, AccessType::Store, 0);
     cache.access(0x9000, 0, AccessType::Writeback, 0);
-    ASSERT_EQ(seen.size(), 2u);
+    ASSERT_EQ(seen.size(), 3u);
     EXPECT_EQ(seen[0].first, 0x1000u >> 6);
     EXPECT_EQ(seen[1].second, AccessType::Store);
+    EXPECT_EQ(seen[2].first, 0x9000u >> 6);
+    EXPECT_EQ(seen[2].second, AccessType::Writeback);
 }
 
 TEST(CacheBypass, PolicyBypassSkipsInstall)

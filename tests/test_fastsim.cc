@@ -9,17 +9,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "core/cache.hh"
 #include "core/cascade_lake.hh"
+#include "difftest/difftest.hh"
 #include "difftest/stream_fuzzer.hh"
+#include "graph/gap_kernels.hh"
+#include "graph/generators.hh"
 #include "harness/corun.hh"
 #include "harness/experiment.hh"
+#include "replacement/replacement_policy.hh"
 #include "stats/metrics.hh"
 #include "workloads/synthetic.hh"
 
@@ -306,6 +312,15 @@ struct AccuracyCase
     double budget;
 };
 
+/** Name the case in ctest: gtest would otherwise print its raw bytes,
+ *  the policy pointer included, so the names would change per build. */
+void
+PrintTo(const AccuracyCase &c, std::ostream *os)
+{
+    *os << c.policy << "/" << difftest::streamKindName(c.kind)
+        << " budget " << c.budget;
+}
+
 class SampledAccuracy : public ::testing::TestWithParam<AccuracyCase>
 {};
 
@@ -418,6 +433,110 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<AccuracyCase> &info) {
         return std::string(info.param.policy) + "_" +
                difftest::streamKindName(info.param.kind);
+    });
+
+// --- Timing-independent LLC stream --------------------------------------
+
+/** One LLC access as the Belady recorder keeps it. */
+struct LlcAccess
+{
+    Addr block;
+    Pc pc;
+    AccessType type;
+
+    bool operator==(const LlcAccess &) const = default;
+};
+
+enum class RunMode { Timed, FunctionalWarmup, ForcedFunctional };
+
+/**
+ * The LLC's non-writeback event-hook sequence for one run of
+ * @p workload, exactly what runBelady's first pass records.
+ */
+std::vector<LlcAccess>
+recordLlcStream(Workload &workload, const std::string &policy,
+                RunMode mode, const std::string &l2_prefetcher)
+{
+    SimConfig cfg = fastsimConfig(/*warmup=*/100'000, /*measure=*/400'000);
+    cfg.hierarchy.llc.replacement = policy;
+    cfg.hierarchy.l2.prefetcher = l2_prefetcher;
+    if (mode == RunMode::FunctionalWarmup)
+        cfg.warmupMode = WarmupMode::Functional;
+    std::vector<LlcAccess> stream;
+    Simulator sim(cfg);
+    if (mode == RunMode::ForcedFunctional)
+        sim.forceFunctional();
+    sim.hierarchy().llc().setEventHook([&](const Cache::AccessEvent &e) {
+        if (e.type != AccessType::Writeback)
+            stream.push_back({e.block, e.pc, e.type});
+    });
+    workload.run(sim);
+    return stream;
+}
+
+class LlcStreamInvariance : public ::testing::TestWithParam<std::string>
+{};
+
+/**
+ * runBelady records its oracle's future in an untimed pass. That is
+ * sound only if the LLC's demand and prefetch stream depends on
+ * neither the timing model nor the LLC policy: the levels above never
+ * see the LLC's decisions, and the core issues memory operations in
+ * program order in both paths. Every policy under timed warmup,
+ * functional warmup and a forced-functional run must therefore see
+ * the stream LRU sees under timed warmup, on two GAP kernels and one
+ * fuzzed stream with stores (so writebacks are filtered out).
+ */
+TEST_P(LlcStreamInvariance, SameStreamTimedOrFunctional)
+{
+    static const auto graph = std::make_shared<const CsrGraph>(
+        makeKronecker(10, 8, 42));
+    GapKernelParams params;
+    params.maxRepeats = 1;
+    StreamSpec spec;
+    spec.seed = 23;
+    spec.kind = StreamKind::MixedWorkingSets;
+    spec.memoryAccesses = 40'000;
+    spec.geometry = fastsimConfig().hierarchy.llc.geometry();
+
+    std::vector<std::shared_ptr<Workload>> workloads{
+        std::make_shared<GapWorkload>(GapKernel::Bfs, "kron10", graph,
+                                      params),
+        std::make_shared<GapWorkload>(GapKernel::PageRank, "kron10",
+                                      graph, params),
+        std::make_shared<difftest::VectorWorkload>(
+            "fuzz", difftest::generateStream(spec))};
+
+    for (const auto &workload : workloads) {
+        // The L2 streamer adds prefetch fills to the LLC stream.
+        for (const std::string prefetcher : {"none", "streamer"}) {
+            SCOPED_TRACE(workload->name() + ", L2 prefetcher " + prefetcher);
+            const std::vector<LlcAccess> reference = recordLlcStream(
+                *workload, "lru", RunMode::Timed, prefetcher);
+            ASSERT_GT(reference.size(), 1000u);
+            for (const RunMode mode :
+                 {RunMode::Timed, RunMode::FunctionalWarmup,
+                  RunMode::ForcedFunctional}) {
+                const std::vector<LlcAccess> got = recordLlcStream(
+                    *workload, GetParam(), mode, prefetcher);
+                EXPECT_TRUE(got == reference)
+                    << "mode " << static_cast<int>(mode) << ": "
+                    << got.size() << " vs " << reference.size()
+                    << " accesses, first difference at "
+                    << std::mismatch(got.begin(), got.end(),
+                                     reference.begin(), reference.end())
+                               .first -
+                           got.begin();
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, LlcStreamInvariance,
+    ::testing::ValuesIn(ReplacementPolicyFactory::availablePolicies()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
     });
 
 // --- Fast sweep ----------------------------------------------------------

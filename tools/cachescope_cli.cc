@@ -371,20 +371,10 @@ cmdSweep(const Args &args)
     const auto suite = suite_or.take();
 
     std::vector<std::string> policies = {"lru"};
-    {
-        const std::string list =
-            args.get("policies", "srrip,drrip,ship,hawkeye,glider,mpppb");
-        std::size_t pos = 0;
-        while (pos < list.size()) {
-            const std::size_t comma = list.find(',', pos);
-            const std::string name = list.substr(
-                pos, comma == std::string::npos ? comma : comma - pos);
-            if (!name.empty() && name != "lru")
-                policies.push_back(name);
-            if (comma == std::string::npos)
-                break;
-            pos = comma + 1;
-        }
+    for (std::string &name : splitCsv(
+             args.get("policies", "srrip,drrip,ship,hawkeye,glider,mpppb"))) {
+        if (name != "lru")
+            policies.push_back(std::move(name));
     }
 
     SuiteRunner runner(configFrom(args, "lru"),
