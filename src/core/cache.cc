@@ -19,30 +19,47 @@
 
 namespace cachescope {
 
-Status
-CacheConfig::validate() const
+namespace {
+
+/**
+ * @return @p cfg's set count, or InvalidArgument if its shape derives
+ * no usable geometry (non-power-of-two block size, zero ways, a size
+ * that does not split into the ways, a non-power-of-two set count).
+ */
+Expected<std::uint64_t>
+derivedSets(const CacheConfig &cfg)
 {
-    if (blockBytes == 0 || !isPowerOf2(blockBytes)) {
+    if (cfg.blockBytes == 0 || !isPowerOf2(cfg.blockBytes)) {
         return invalidArgumentError(
-            "cache '%s': block size must be a power of two", name.c_str());
+            "cache '%s': block size must be a power of two",
+            cfg.name.c_str());
     }
-    if (numWays == 0) {
+    if (cfg.numWays == 0) {
         return invalidArgumentError(
-            "cache '%s': associativity must be non-zero", name.c_str());
+            "cache '%s': associativity must be non-zero", cfg.name.c_str());
     }
-    const std::uint64_t blocks = sizeBytes / blockBytes;
-    if (blocks == 0 || blocks % numWays != 0) {
+    const std::uint64_t blocks = cfg.sizeBytes / cfg.blockBytes;
+    if (blocks == 0 || blocks % cfg.numWays != 0) {
         return invalidArgumentError(
             "cache '%s': size %llu not divisible into %u ways",
-            name.c_str(), static_cast<unsigned long long>(sizeBytes),
-            numWays);
+            cfg.name.c_str(), static_cast<unsigned long long>(cfg.sizeBytes),
+            cfg.numWays);
     }
-    const std::uint64_t sets = blocks / numWays;
+    const std::uint64_t sets = blocks / cfg.numWays;
     if (!isPowerOf2(sets)) {
         return invalidArgumentError(
             "cache '%s': derived set count %llu is not a power of two",
-            name.c_str(), static_cast<unsigned long long>(sets));
+            cfg.name.c_str(), static_cast<unsigned long long>(sets));
     }
+    return sets;
+}
+
+} // anonymous namespace
+
+Status
+CacheConfig::validate() const
+{
+    CS_TRY_ASSIGN(const std::uint64_t sets, derivedSets(*this));
     if (sampleSets == 0 || !isPowerOf2(sampleSets)) {
         return invalidArgumentError(
             "cache '%s': set-sampling rate %u must be a power of two",
@@ -69,20 +86,10 @@ CacheConfig::validate() const
 std::uint32_t
 CacheConfig::numSets() const
 {
-    if (blockBytes == 0 || !isPowerOf2(blockBytes))
-        fatal("cache '%s': block size must be a power of two", name.c_str());
-    if (numWays == 0)
-        fatal("cache '%s': associativity must be non-zero", name.c_str());
-    const std::uint64_t blocks = sizeBytes / blockBytes;
-    if (blocks == 0 || blocks % numWays != 0)
-        fatal("cache '%s': size %llu not divisible into %u ways",
-              name.c_str(), static_cast<unsigned long long>(sizeBytes),
-              numWays);
-    const std::uint64_t sets = blocks / numWays;
-    if (!isPowerOf2(sets))
-        fatal("cache '%s': derived set count %llu is not a power of two",
-              name.c_str(), static_cast<unsigned long long>(sets));
-    return static_cast<std::uint32_t>(sets);
+    auto sets_or = derivedSets(*this);
+    if (!sets_or.ok())
+        fatal("%s", sets_or.status().message().c_str());
+    return static_cast<std::uint32_t>(sets_or.value());
 }
 
 CacheGeometry
@@ -215,7 +222,6 @@ Cache::initSampling()
     sampledSetBits_.assign((static_cast<std::size_t>(sets) + 63) / 64, 0);
     for (std::uint32_t i = 0; i < sampledSetCount_; ++i)
         setBit(sampledSetBits_, order[i]);
-    setDemandAccesses_.assign(sets, 0);
     setDemandMisses_.assign(sets, 0);
     sampling_ = true;
 }
@@ -354,8 +360,6 @@ Cache::access(Addr addr, Pc pc, AccessType type, Cycle now)
             ++skippedAccesses_;
             return lookup_done;
         }
-        if (type == AccessType::Load || type == AccessType::Store)
-            ++setDemandAccesses_[set];
     }
 
     // Lookup: a single pass over the set's contiguous tag run finds the

@@ -202,7 +202,6 @@ class Cache final : public MemoryLevel
         for (CacheStats &slice : coreStats_)
             slice.reset();
         skippedAccesses_ = 0;
-        std::fill(setDemandAccesses_.begin(), setDemandAccesses_.end(), 0);
         std::fill(setDemandMisses_.begin(), setDemandMisses_.end(), 0);
     }
 
@@ -433,10 +432,9 @@ class Cache final : public MemoryLevel
     /** Accesses dropped by the sampling filter. */
     std::uint64_t skippedAccesses_ = 0;
     /**
-     * Per-set demand access/miss counts on sampled sets, backing the
+     * Per-set demand miss counts on sampled sets, backing the
      * exported sampling-error gauge (empty when sampling is off).
      */
-    std::vector<std::uint64_t> setDemandAccesses_;
     std::vector<std::uint64_t> setDemandMisses_;
 };
 

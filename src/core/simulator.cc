@@ -225,38 +225,6 @@ Simulator::forceFunctional()
         c.functional = true;
 }
 
-double
-Simulator::warmupWallSeconds(std::size_t i) const
-{
-    const Core &c = cores_[i];
-    if (!c.sawInstruction)
-        return 0.0;
-    const auto end =
-        c.warmupDone ? c.warmupEndedAt : std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(end - c.firstInstructionAt)
-        .count();
-}
-
-double
-Simulator::measureWallSeconds() const
-{
-    const Core &c = cores_.front();
-    if (!c.warmupDone)
-        return 0.0;
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - c.warmupEndedAt)
-        .count();
-}
-
-std::optional<std::chrono::steady_clock::time_point>
-Simulator::firstInstructionAt() const
-{
-    const Core &c = cores_.front();
-    if (!c.sawInstruction)
-        return std::nullopt;
-    return c.firstInstructionAt;
-}
-
 void
 Simulator::warnIfWarmupUnfinished(const std::string &what,
                                   std::size_t i) const
@@ -273,8 +241,7 @@ Simulator::warnIfWarmupUnfinished(const std::string &what,
 void
 Simulator::openBarrier()
 {
-    barrierOpen_ = true;
-    barrierAt_ = std::chrono::steady_clock::now();
+    barrierOpenedAt_ = std::chrono::steady_clock::now();
     // End of the (possibly functional) warmup phase: the timed path
     // owns the LLC from here on.
     if (!forcedFunctional_)
@@ -302,9 +269,9 @@ Simulator::enterMeasurement(Core &c)
     // With one core, its own boundary is the all-cores-warm barrier,
     // reached on this very call. run() opens the barrier for N cores
     // before it steps any core past its warmup.
-    CS_ASSERT(barrierOpen_ || cores_.size() == 1,
+    CS_ASSERT(barrierOpenedAt_ || cores_.size() == 1,
               "a core entered measurement before the barrier opened");
-    if (!barrierOpen_)
+    if (!barrierOpenedAt_)
         openBarrier();
 }
 
@@ -318,10 +285,8 @@ Simulator::step(Core &c, const TraceRecord &rec)
     // loop (one mask + predictable branch when idle), frequent enough
     // that deadlines and ^C are observed promptly.
     if ((c.consumed & (kCancelPollInterval - 1)) == 0) [[unlikely]] {
-        if (!c.sawInstruction) {
-            c.sawInstruction = true;
+        if (!c.firstInstructionAt)
             c.firstInstructionAt = std::chrono::steady_clock::now();
-        }
         if (cfg.base.cancel && cfg.base.cancel->cancelled())
             throw CancelledError(cfg.base.cancel->reason());
         if (failpoint::anyArmed())
@@ -385,7 +350,7 @@ Simulator::run(const std::vector<CorunStream *> &streams)
         // stepping) matches the push path's one-core barrier. If every
         // live stream ends before its warmup the shared statistics are
         // never reset (too-short streams are all warmup).
-        if (!barrierOpen_) {
+        if (!barrierOpenedAt_) {
             bool all_warm = true;
             for (std::size_t i = 0; i < n; ++i) {
                 if (alive[i] && !inMeasurement(i)) {
@@ -410,7 +375,7 @@ Simulator::run(const std::vector<CorunStream *> &streams)
         for (std::size_t i = 0; i < n; ++i) {
             if (!alive[i])
                 continue;
-            if (!barrierOpen_ && inMeasurement(i))
+            if (!barrierOpenedAt_ && inMeasurement(i))
                 continue;
             const Cycle c = cores_[i].cpu.currentCycle();
             if (pick == n || c < best) {
@@ -437,11 +402,6 @@ Simulator::run(const std::vector<CorunStream *> &streams)
             --live;
         }
     }
-    runMeasureWallSeconds_ =
-        barrierOpen_ ? std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - barrierAt_)
-                           .count()
-                     : 0.0;
 }
 
 void
@@ -484,13 +444,8 @@ Simulator::corunResult() const
     r.dram = dram_->stats();
     r.llcWaysPerCore = cfg.llcWaysPerCore;
     exportSharedMetrics(r.extraMetrics);
-    r.measureWallSeconds = runMeasureWallSeconds_;
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         r.cores.push_back(coreResult(i));
-        // Per-core warmup wall time (this core's own boundary), so the
-        // speedup of functional warmup is observable per tenant.
-        r.cores.back().extraMetrics.setGauge("sim.warmup_wall_seconds",
-                                             warmupWallSeconds(i));
         r.llcPerCore.push_back(
             llc_->coreStats(static_cast<unsigned>(i)));
     }

@@ -199,9 +199,6 @@ struct CorunResult
      *  the profiler's "profile.*" tree. */
     MetricsRegistry extraMetrics;
     std::uint32_t llcWaysPerCore = 0;
-    /** Wall seconds from the all-cores-warm barrier to the end of
-     *  run() (0 if the barrier never opened). */
-    double measureWallSeconds = 0.0;
 
     /** Sum of per-core IPCs (the raw throughput summary). */
     double ipcSum() const;
@@ -349,19 +346,30 @@ class Simulator : public InstructionSink
      */
     void forceFunctional();
 
-    /**
-     * Wall seconds core @p i spent before its warmup boundary (from
-     * its first instruction to the boundary; everything so far if the
-     * boundary has not been crossed). 0 before the first instruction.
-     */
-    double warmupWallSeconds(std::size_t i = 0) const;
-
-    /** Wall seconds since core 0's warmup boundary (0 until then). */
-    double measureWallSeconds() const;
-
-    /** When core 0 consumed its first instruction; empty until then. */
+    /** When core @p i consumed its first instruction; empty until then. */
     std::optional<std::chrono::steady_clock::time_point>
-    firstInstructionAt() const;
+    firstInstructionAt(std::size_t i = 0) const
+    {
+        return cores_[i].firstInstructionAt;
+    }
+
+    /** When core @p i crossed its warmup boundary; empty until then. */
+    std::optional<std::chrono::steady_clock::time_point>
+    warmupEndedAt(std::size_t i = 0) const
+    {
+        return cores_[i].warmupEndedAt;
+    }
+
+    /**
+     * When the all-cores-warm barrier opened, i.e. the shared levels'
+     * measured window began (with one core, its warmup boundary);
+     * empty until then.
+     */
+    std::optional<std::chrono::steady_clock::time_point>
+    barrierOpenedAt() const
+    {
+        return barrierOpenedAt_;
+    }
 
   private:
     /** One core's private state; the arbiter and push path step it. */
@@ -383,9 +391,9 @@ class Simulator : public InstructionSink
         bool budgetExhausted = false;
         /** True while the core takes the functional (untimed) path. */
         bool functional;
-        bool sawInstruction = false;
-        std::chrono::steady_clock::time_point firstInstructionAt{};
-        std::chrono::steady_clock::time_point warmupEndedAt{};
+        std::optional<std::chrono::steady_clock::time_point>
+            firstInstructionAt;
+        std::optional<std::chrono::steady_clock::time_point> warmupEndedAt;
     };
 
     /** Consume one record on core @p c: the loop both paths share. */
@@ -411,12 +419,9 @@ class Simulator : public InstructionSink
     /** A deque never moves its elements, and each CpuCore holds a
      *  reference to its hierarchy. */
     std::deque<Core> cores_;
-    bool barrierOpen_ = false;
-    std::chrono::steady_clock::time_point barrierAt_{};
+    std::optional<std::chrono::steady_clock::time_point> barrierOpenedAt_;
     /** forceFunctional(): never hand over to the timed path. */
     bool forcedFunctional_ = false;
-    /** Wall seconds of the last run()'s measured phase. */
-    double runMeasureWallSeconds_ = 0.0;
 };
 
 } // namespace cachescope

@@ -203,32 +203,6 @@ fullSimConfig(const std::string &llc_policy)
     return cfg;
 }
 
-/** Copy @p in minus the wall-clock noise a parallel sweep reorders. */
-MetricsRegistry
-stripNondeterministic(const MetricsRegistry &in)
-{
-    MetricsRegistry out;
-    for (const auto &[path, value] : in.counters())
-        out.setCounter(path, value);
-    for (const auto &[path, value] : in.gauges()) {
-        const auto ends_with = [&path](const char *suffix,
-                                       std::size_t n) {
-            return path.size() >= n &&
-                   path.compare(path.size() - n, n, suffix) == 0;
-        };
-        if (ends_with(".wall_ms", 8) || ends_with("wall_seconds", 12) ||
-            ends_with(".throughput_mips", 16))
-            continue;
-        out.setGauge(path, value);
-    }
-    for (const auto &[path, snap] : in.histograms()) {
-        if (path == "sweep.cell_wall_ms")
-            continue;
-        out.setHistogram(path, snap);
-    }
-    return out;
-}
-
 /** Read a whole file; @return false on any I/O error. */
 bool
 slurp(const std::string &path, std::string &out)
@@ -640,8 +614,8 @@ DifferentialDriver::checkSweepEquality(const std::vector<TraceRecord> &stream,
     const SweepReport rs = serial.runChecked(suite, policies);
     const SweepReport rp = parallel.runChecked(suite, policies);
 
-    MetricsDocument ds{"sweep", 0.0, stripNondeterministic(rs.metrics)};
-    MetricsDocument dp{"sweep", 0.0, stripNondeterministic(rp.metrics)};
+    MetricsDocument ds{"sweep", 0.0, withoutHostTime(rs.metrics)};
+    MetricsDocument dp{"sweep", 0.0, withoutHostTime(rp.metrics)};
     const std::string js = metricsToJson(ds);
     const std::string jp = metricsToJson(dp);
     if (js == jp && rs.failed() == 0 && rp.failed() == 0)

@@ -119,21 +119,12 @@ CorunReport::exportMetrics(MetricsRegistry &metrics,
                            const std::string &prefix) const
 {
     result.exportMetrics(metrics, prefix);
-    const std::string p = prefix.empty() ? "" : prefix + ".";
-    // Same timing gauges runOne() emits, so the 1-core co-run tree has
-    // exactly the single-core tree's shape (values differ only by
-    // wall-clock noise, which the identity test strips). As in runOne,
-    // everything outside the measured phase — tenant capture included —
-    // lands on the warmup side of the split.
-    const double wall = std::max(wallSeconds, 0.0);
-    const double measure =
-        std::clamp(result.measureWallSeconds, 0.0, wall);
-    metrics.setGauge(p + "sim.wall_seconds", wallSeconds);
-    metrics.setGauge(p + "sim.warmup_wall_seconds", wall - measure);
-    metrics.setGauge(p + "sim.measure_wall_seconds", measure);
-    metrics.setGauge(p + "sim.throughput_mips", throughputMips);
+    // The same host-time gauges runOne() emits, so the 1-core co-run
+    // tree has exactly the single-core tree's paths.
+    metrics.merge(hostTime, prefix);
     if (soloIpc.empty() || result.cores.size() < 2)
         return;
+    const std::string p = prefix.empty() ? "" : prefix + ".";
     metrics.setGauge(p + "corun.weighted_speedup", weightedSpeedup);
     metrics.setGauge(p + "corun.fairness", fairness);
     for (std::size_t i = 0; i < result.cores.size(); ++i) {
@@ -199,6 +190,7 @@ runCorun(const std::vector<CorunTenant> &tenants,
     for (const auto &s : streams)
         raw.push_back(s.get());
     sim.run(raw);
+    const auto end = std::chrono::steady_clock::now();
 
     // A trace stream that dried up because of truncation or corruption
     // is an input error, not a short tenant.
@@ -214,23 +206,37 @@ runCorun(const std::vector<CorunTenant> &tenants,
             "corun tenant '" + tenants[i].name() + "'", i);
     }
 
+    // Everything outside the measured phase, tenant capture included,
+    // lands on the warmup side of the split, as in runOne().
     CorunReport report;
     report.result = sim.corunResult();
     report.tenantNames.reserve(n);
-    InstCount total_instructions = 0;
+    HostTimes pass{.start = start,
+                   .end = end,
+                   .firstInstruction = std::nullopt,
+                   .measureStart = sim.barrierOpenedAt(),
+                   .instructions = 0};
     for (std::size_t i = 0; i < n; ++i) {
         report.tenantNames.push_back(tenants[i].name());
-        total_instructions += sim.instructionsConsumed(i);
+        pass.instructions += sim.instructionsConsumed(i);
+        const auto first = sim.firstInstructionAt(i);
+        if (first && (!pass.firstInstruction ||
+                      *first < *pass.firstInstruction)) {
+            pass.firstInstruction = first;
+        }
+        if (n >= 2) {
+            setThroughputGauges(
+                report.hostTime, "core" + std::to_string(i),
+                {.start = start,
+                 .end = end,
+                 .firstInstruction = first,
+                 .measureStart = sim.warmupEndedAt(i),
+                 .instructions = sim.instructionsConsumed(i)});
+        }
     }
-
-    constexpr double kMinSeconds = 1e-9;
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    report.wallSeconds = secs;
-    report.throughputMips = static_cast<double>(total_instructions) /
-                            std::max(secs, kMinSeconds) / 1e6;
+    setThroughputGauges(report.hostTime, "", pass);
+    report.wallSeconds =
+        std::chrono::duration<double>(end - start).count();
 
     if (!options.soloBaselines)
         return report;

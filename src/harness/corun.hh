@@ -74,13 +74,17 @@ struct CorunReport
     double fairness = 0.0;
     /** Wall-clock duration of the co-run pass (baselines excluded). */
     double wallSeconds = 0.0;
-    /** Aggregate simulation throughput over all cores, in MIPS. */
-    double throughputMips = 0.0;
+    /**
+     * The pass's host-time gauges (setThroughputGauges): "sim.*" over
+     * all cores and, with N >= 2 cores, "core<i>.sim.*" per core.
+     */
+    MetricsRegistry hostTime;
 
     /**
-     * Export the full co-run tree (CorunResult::exportMetrics) plus,
-     * when baselines ran, "corun.weighted_speedup"/"corun.fairness"
-     * and per-core "core<i>.derived.solo_ipc"/".speedup_over_solo".
+     * Export the full co-run tree (CorunResult::exportMetrics), the
+     * host-time gauges and, when baselines ran,
+     * "corun.weighted_speedup"/"corun.fairness" and per-core
+     * "core<i>.derived.solo_ipc"/".speedup_over_solo".
      * Baseline gauges are only emitted for N >= 2 cores, keeping the
      * 1-core export byte-identical to a single-core run.
      */

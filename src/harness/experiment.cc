@@ -25,59 +25,38 @@
 
 namespace cachescope {
 
-namespace {
-
-/**
- * Record how fast the simulator itself ran: sim.wall_seconds and
- * sim.throughput_mips (instructions pushed through the pipeline,
- * warmup included, per wall-clock second), split into
- * sim.warmup_wall_seconds + sim.measure_wall_seconds so the functional
- * warmup speedup is directly observable in every BENCH JSON. The part
- * of the warmup spent before the first instruction reached the
- * simulator (Simulator construction, generator set-up) is
- * sim.setup_wall_seconds; a run that consumed nothing was all set-up.
- * steady_clock only, so the numbers survive clock adjustments
- * mid-campaign. All of these gauges are nondeterministic by nature and
- * are stripped by the determinism tooling (difftest byte-identity,
- * golden metric-tree tests).
- */
 void
-setThroughputGauges(
-    SimResult &result, InstCount instructions,
-    std::chrono::steady_clock::time_point start,
-    std::optional<std::chrono::steady_clock::time_point> first_instruction,
-    double measure_seconds)
+setThroughputGauges(MetricsRegistry &metrics, const std::string &prefix,
+                    const HostTimes &times)
 {
-    const double secs = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-    // A tiny trace can finish inside the clock's resolution, making
+    const auto seconds = [](HostTimes::Clock::duration d) {
+        return std::chrono::duration<double>(d).count();
+    };
+    const double secs = std::max(seconds(times.end - times.start), 0.0);
+    // A tiny run can finish inside the clock's resolution, making
     // `secs` zero (or denormal-small, where the division overflows to
     // inf). Clamp the divisor so the gauge is always present and
-    // finite: an absent or non-finite value poisons BENCH JSON
-    // baseline comparisons downstream (check_bench_json rejects both).
+    // finite: check_bench_json rejects a non-finite gauge.
     constexpr double kMinSeconds = 1e-9;
-    const double divisor = secs > kMinSeconds ? secs : kMinSeconds;
     const double measure =
-        std::clamp(measure_seconds, 0.0, secs < 0.0 ? 0.0 : secs);
+        times.measureStart
+            ? std::clamp(seconds(times.end - *times.measureStart), 0.0, secs)
+            : 0.0;
     const double warmup = secs - measure;
-    double setup = warmup;
-    if (first_instruction) {
-        setup = std::clamp(
-            std::chrono::duration<double>(*first_instruction - start)
-                .count(),
-            0.0, std::max(warmup, 0.0));
-    }
-    result.extraMetrics.setGauge("sim.wall_seconds", secs);
-    result.extraMetrics.setGauge("sim.warmup_wall_seconds", warmup);
-    result.extraMetrics.setGauge("sim.setup_wall_seconds", setup);
-    result.extraMetrics.setGauge("sim.measure_wall_seconds", measure);
-    result.extraMetrics.setGauge(
-        "sim.throughput_mips",
-        static_cast<double>(instructions) / divisor / 1e6);
+    const double setup =
+        times.firstInstruction
+            ? std::clamp(seconds(*times.firstInstruction - times.start), 0.0,
+                         warmup)
+            : warmup;
+    const std::string p = prefix.empty() ? "sim." : prefix + ".sim.";
+    metrics.setGauge(p + "wall_seconds", secs);
+    metrics.setGauge(p + "warmup_wall_seconds", warmup);
+    metrics.setGauge(p + "setup_wall_seconds", setup);
+    metrics.setGauge(p + "measure_wall_seconds", measure);
+    metrics.setGauge(p + "throughput_mips",
+                     static_cast<double>(times.instructions) /
+                         std::max(secs, kMinSeconds) / 1e6);
 }
-
-} // anonymous namespace
 
 SimResult
 runOne(Workload &workload, const SimConfig &config)
@@ -90,8 +69,12 @@ runOne(Workload &workload, const SimConfig &config)
     workload.run(sim);
     SimResult result = sim.result();
     sim.warnIfWarmupUnfinished("workload '" + workload.name() + "'");
-    setThroughputGauges(result, sim.instructionsConsumed(), start,
-                        sim.firstInstructionAt(), sim.measureWallSeconds());
+    setThroughputGauges(result.extraMetrics, "",
+                        {.start = start,
+                         .end = HostTimes::Clock::now(),
+                         .firstInstruction = sim.firstInstructionAt(),
+                         .measureStart = sim.barrierOpenedAt(),
+                         .instructions = sim.instructionsConsumed()});
     return result;
 }
 
@@ -146,9 +129,13 @@ runBelady(Workload &workload, const SimConfig &base_config)
     // Both passes count: the oracle's cost is real simulated work.
     // Pass 1 is all bookkeeping for the oracle, so it lands on the
     // warmup side of the wall-time split.
-    setThroughputGauges(result,
-                        pass1_instructions + sim.instructionsConsumed(),
-                        start, first_instruction, sim.measureWallSeconds());
+    setThroughputGauges(
+        result.extraMetrics, "",
+        {.start = start,
+         .end = HostTimes::Clock::now(),
+         .firstInstruction = first_instruction,
+         .measureStart = sim.barrierOpenedAt(),
+         .instructions = pass1_instructions + sim.instructionsConsumed()});
     return result;
 }
 
@@ -504,20 +491,6 @@ SuiteRunner::runChecked(const std::vector<std::shared_ptr<Workload>> &suite,
     report.metrics.setCounter("sweep.executed", report.executed);
     report.metrics.setHistogram("sweep.cell_wall_ms", wall_hist);
     return report;
-}
-
-SweepResults
-SuiteRunner::run(const std::vector<std::shared_ptr<Workload>> &suite,
-                 const std::vector<std::string> &policies) const
-{
-    SweepReport report = runChecked(suite, policies);
-    for (const auto &outcome : report.outcomes) {
-        if (!outcome.ok) {
-            warn("sweep cell %s/%s failed: %s", outcome.workload.c_str(),
-                 outcome.policy.c_str(), outcome.error.c_str());
-        }
-    }
-    return std::move(report.results);
 }
 
 std::map<std::string, double>

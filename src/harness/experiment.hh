@@ -8,8 +8,10 @@
 #ifndef CACHESCOPE_HARNESS_EXPERIMENT_HH
 #define CACHESCOPE_HARNESS_EXPERIMENT_HH
 
+#include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,36 @@
 #include "trace/workload.hh"
 
 namespace cachescope {
+
+/** Host-clock instants of one simulation, for setThroughputGauges(). */
+struct HostTimes
+{
+    using Clock = std::chrono::steady_clock;
+
+    /** The run began, before any set-up (construction, generation). */
+    Clock::time_point start;
+    /** The run ended. */
+    Clock::time_point end;
+    /** The first instruction reached the simulator; empty if none did. */
+    std::optional<Clock::time_point> firstInstruction;
+    /** The measured window opened; empty if it never did. */
+    std::optional<Clock::time_point> measureStart;
+    /** Instructions pushed through the simulator, warmup included. */
+    InstCount instructions = 0;
+};
+
+/**
+ * Write how fast one simulation ran under "<prefix>.sim." (or "sim."
+ * for an empty prefix): wall_seconds, split into warmup_wall_seconds +
+ * measure_wall_seconds; setup_wall_seconds, the head of the warmup
+ * before the first instruction (all of it for a run that consumed
+ * nothing); and throughput_mips, instructions per wall-clock second.
+ * This is the only writer of these gauges, so every tree that carries
+ * them (run, belady, corun, replay) has the same shape. They are host
+ * time (isHostTimePath), stripped by every determinism check.
+ */
+void setThroughputGauges(MetricsRegistry &metrics, const std::string &prefix,
+                         const HostTimes &times);
 
 /**
  * Run @p workload through a simulator built from @p config.
@@ -128,14 +160,6 @@ class SuiteRunner
      * failures instead of propagating them.
      */
     SweepReport runChecked(
-        const std::vector<std::shared_ptr<Workload>> &suite,
-        const std::vector<std::string> &policies) const;
-
-    /**
-     * Legacy wrapper around runChecked(): returns the successful cells
-     * and warn()s about failed ones.
-     */
-    SweepResults run(
         const std::vector<std::shared_ptr<Workload>> &suite,
         const std::vector<std::string> &policies) const;
 

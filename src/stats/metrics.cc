@@ -19,6 +19,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "util/failpoint.hh"
 #include "util/logging.hh"
@@ -617,6 +618,35 @@ MetricsRegistry::merge(const MetricsRegistry &other,
         for (std::size_t i = 0; i < snap.counts.size(); ++i)
             mine.counts[i] += snap.counts[i];
     }
+}
+
+bool
+isHostTimePath(const std::string &path)
+{
+    const auto ends_with = [&path](std::string_view suffix) {
+        return path.size() >= suffix.size() &&
+               path.compare(path.size() - suffix.size(), suffix.size(),
+                            suffix) == 0;
+    };
+    return ends_with(".wall_ms") || ends_with("wall_seconds") ||
+           ends_with(".throughput_mips") || path == "sweep.cell_wall_ms";
+}
+
+MetricsRegistry
+withoutHostTime(const MetricsRegistry &in)
+{
+    MetricsRegistry out;
+    for (const auto &[path, value] : in.counters())
+        out.setCounter(path, value);
+    for (const auto &[path, value] : in.gauges()) {
+        if (!isHostTimePath(path))
+            out.setGauge(path, value);
+    }
+    for (const auto &[path, snapshot] : in.histograms()) {
+        if (!isHostTimePath(path))
+            out.setHistogram(path, snapshot);
+    }
+    return out;
 }
 
 std::string

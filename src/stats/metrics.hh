@@ -132,6 +132,22 @@ class MetricsRegistry
 };
 
 /**
+ * @return true iff @p path holds host time rather than simulated
+ * state: a gauge ending in ".wall_ms", "wall_seconds" or
+ * ".throughput_mips", or the "sweep.cell_wall_ms" histogram. These
+ * move with host load, so every determinism check (golden digests,
+ * difftest, soak, serial-vs-parallel sweeps) compares trees without
+ * them.
+ */
+bool isHostTimePath(const std::string &path);
+
+/**
+ * @return a copy of @p in without its host-time gauges and histograms
+ * (isHostTimePath). Counters are simulated events and always kept.
+ */
+MetricsRegistry withoutHostTime(const MetricsRegistry &in);
+
+/**
  * One exportable metrics report: a registry plus the identification
  * and timing fields the BENCH_*.json perf-trajectory schema requires.
  */

@@ -75,36 +75,13 @@ makeHotCold()
         "corun", SynthPattern::HotCold, p);
 }
 
-/** Copy @p in minus wall-clock noise (same rule as the golden test). */
-MetricsRegistry
-stripTiming(const MetricsRegistry &in)
-{
-    const auto ends_with = [](const std::string &s, const char *suffix) {
-        const std::size_t n = std::char_traits<char>::length(suffix);
-        return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-    };
-    MetricsRegistry out;
-    for (const auto &[path, value] : in.counters())
-        out.setCounter(path, value);
-    for (const auto &[path, value] : in.gauges()) {
-        if (ends_with(path, ".wall_ms") ||
-            ends_with(path, "wall_seconds") ||
-            ends_with(path, ".throughput_mips"))
-            continue;
-        out.setGauge(path, value);
-    }
-    for (const auto &[path, snap] : in.histograms())
-        out.setHistogram(path, snap);
-    return out;
-}
-
 std::string
 strippedJson(const MetricsRegistry &metrics, const std::string &name)
 {
     MetricsDocument doc;
     doc.name = name;
     doc.wallMs = 0.0;
-    doc.metrics = stripTiming(metrics);
+    doc.metrics = withoutHostTime(metrics);
     return metricsToJson(doc);
 }
 
@@ -154,10 +131,6 @@ TEST(CorunIdentity, OneCoreCorunMatchesSingleCoreRun)
         const SimResult solo = runOne(*workload, cfg);
         MetricsRegistry solo_metrics;
         solo.exportMetrics(solo_metrics);
-        // runOne() adds the timing gauges after export; mirror the
-        // shape.
-        solo_metrics.setGauge("sim.wall_seconds", 0.0);
-        solo_metrics.setGauge("sim.throughput_mips", 0.0);
 
         CorunRunOptions options;
         options.config.base = cfg;
@@ -172,6 +145,48 @@ TEST(CorunIdentity, OneCoreCorunMatchesSingleCoreRun)
     }
 }
 
+/** Every path of @p metrics, tagged with its kind. */
+std::vector<std::string>
+pathsOf(const MetricsRegistry &metrics)
+{
+    std::vector<std::string> paths;
+    for (const auto &[path, value] : metrics.counters())
+        paths.push_back("counter " + path);
+    for (const auto &[path, value] : metrics.gauges())
+        paths.push_back("gauge " + path);
+    for (const auto &[path, snapshot] : metrics.histograms())
+        paths.push_back("histogram " + path);
+    return paths;
+}
+
+/**
+ * The shape half of the identity above, before any stripping: a
+ * 1-core co-run carries every path a single-core run does, host-time
+ * gauges included, because both take them from one writer.
+ */
+TEST(CorunIdentity, OneCoreCorunHasTheRunTreesPathsUnstripped)
+{
+    for (const WarmupMode mode :
+         {WarmupMode::Timed, WarmupMode::Functional}) {
+        SCOPED_TRACE(mode == WarmupMode::Timed ? "timed" : "functional");
+        SimConfig cfg = corunConfig();
+        cfg.warmupMode = mode;
+        MetricsRegistry solo_metrics;
+        runOne(*makeHotCold(), cfg).exportMetrics(solo_metrics);
+
+        CorunRunOptions options;
+        options.config.base = cfg;
+        auto report_or =
+            runCorun({CorunTenant::fromWorkload(makeHotCold())}, options);
+        ASSERT_TRUE(report_or.ok()) << report_or.status().message();
+        MetricsRegistry corun_metrics;
+        report_or.value().exportMetrics(corun_metrics);
+
+        EXPECT_EQ(pathsOf(solo_metrics), pathsOf(corun_metrics));
+        EXPECT_TRUE(corun_metrics.hasGauge("sim.setup_wall_seconds"));
+    }
+}
+
 /** True for metric paths whose value depends on retire-clock timing
  *  (cycle counts and the rates derived from them). */
 bool
@@ -183,16 +198,6 @@ isTimingPath(const std::string &path)
                path.compare(path.size() - n, n, suffix) == 0;
     };
     return ends_with(".cycles") || ends_with(".ipc");
-}
-
-/** True for host wall-clock gauges (sim.*wall_seconds, throughput):
- *  nondeterministic by nature, so identical tenants only produce
- *  *near* values — structure is checked, magnitudes are not. */
-bool
-isWallClockPath(const std::string &path)
-{
-    return path.find("wall_seconds") != std::string::npos ||
-           path.find("throughput_mips") != std::string::npos;
 }
 
 /**
@@ -253,7 +258,7 @@ TEST(CorunDifftest, IdenticalTenantsProduceIdenticalSubtrees)
             ++core0_gauges;
             const auto twin = gauges.find("core1." + path.substr(6));
             ASSERT_NE(twin, gauges.end()) << path;
-            if (isWallClockPath(path)) {
+            if (isHostTimePath(path)) {
                 // Existence-only: host time, not simulated behavior.
             } else if (isTimingPath(path)) {
                 EXPECT_NEAR(twin->second, value, 0.02 * value) << path;

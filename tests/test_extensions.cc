@@ -180,7 +180,7 @@ TEST(TraceFileWorkloadTest, WorksInSweeps)
     auto workload = std::make_shared<TraceFileWorkload>(path, "zipf");
     SuiteRunner runner(cascadeLakeConfig("lru", 10'000, 100'000), 2);
     runner.setVerbose(false);
-    const SweepResults results = runner.run({workload}, {"lru", "drrip"});
+    const SweepResults results = runner.runChecked({workload}, {"lru", "drrip"}).results;
     EXPECT_EQ(results.at("zipf").size(), 2u);
     EXPECT_GT(results.at("zipf").at("drrip").ipc(), 0.0);
     std::remove(path.c_str());

@@ -108,33 +108,6 @@ registryJson(const MetricsRegistry &metrics, const std::string &name)
     return metricsToJson(doc);
 }
 
-/** Copy @p in minus wall-clock noise (same rule as the golden test). */
-MetricsRegistry
-stripTiming(const MetricsRegistry &in)
-{
-    const auto ends_with = [](const std::string &s, const char *suffix) {
-        const std::size_t n = std::char_traits<char>::length(suffix);
-        return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-    };
-    MetricsRegistry out;
-    for (const auto &[path, value] : in.counters())
-        out.setCounter(path, value);
-    for (const auto &[path, value] : in.gauges()) {
-        if (ends_with(path, ".wall_ms") ||
-            ends_with(path, "wall_seconds") ||
-            ends_with(path, ".throughput_mips"))
-            continue;
-        out.setGauge(path, value);
-    }
-    for (const auto &[path, snap] : in.histograms()) {
-        // sweep.cell_wall_ms buckets move with host load.
-        if (path.find("wall_ms") != std::string::npos)
-            continue;
-        out.setHistogram(path, snap);
-    }
-    return out;
-}
-
 // --- Functional warmup ---------------------------------------------------
 
 /**
@@ -565,8 +538,8 @@ TEST(FastSweep, DeterministicAcrossJobs)
     const SweepReport rp = parallel.runChecked(suite, policies);
     ASSERT_EQ(rs.failed(), 0u);
     ASSERT_EQ(rp.failed(), 0u);
-    EXPECT_EQ(registryJson(stripTiming(rs.metrics), "sweep"),
-              registryJson(stripTiming(rp.metrics), "sweep"));
+    EXPECT_EQ(registryJson(withoutHostTime(rs.metrics), "sweep"),
+              registryJson(withoutHostTime(rp.metrics), "sweep"));
 
     // The preset actually engaged: every cell carries the sampled
     // subtree at the preset's 1/16 rate.

@@ -116,37 +116,6 @@ goldenConfig()
     return cfg;
 }
 
-/**
- * Copy @p in minus wall-clock noise: timing gauges (.wall_ms,
- * wall_seconds — dotted or the warmup/measure _wall_seconds split —
- * and .throughput_mips suffixes) and the cell wall-time
- * histogram. Everything else — every counter, every derived gauge,
- * every histogram — is simulated state and must be byte-stable.
- */
-MetricsRegistry
-stripTiming(const MetricsRegistry &in)
-{
-    const auto ends_with = [](const std::string &s, const char *suffix) {
-        const std::size_t n = std::char_traits<char>::length(suffix);
-        return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-    };
-    MetricsRegistry out;
-    for (const auto &[path, value] : in.counters())
-        out.setCounter(path, value);
-    for (const auto &[path, value] : in.gauges()) {
-        if (ends_with(path, ".wall_ms") || ends_with(path, "wall_seconds") ||
-            ends_with(path, ".throughput_mips"))
-            continue;
-        out.setGauge(path, value);
-    }
-    for (const auto &[path, snap] : in.histograms()) {
-        if (path == "sweep.cell_wall_ms")
-            continue;
-        out.setHistogram(path, snap);
-    }
-    return out;
-}
-
 /** One pinned sweep: the grid it runs and the digest it must hit. */
 struct GoldenCase
 {
@@ -190,7 +159,7 @@ TEST(GoldenMetrics, MiniSweepMetricTreeDigestIsPinned)
         MetricsDocument doc;
         doc.name = "golden";
         doc.wallMs = 0.0;
-        doc.metrics = stripTiming(report.metrics);
+        doc.metrics = withoutHostTime(report.metrics);
         const std::string json = metricsToJson(doc);
 
         Checksum64 sum;
@@ -232,8 +201,8 @@ TEST(GoldenMetrics, ParallelSweepMatchesSerialDigest)
 
     MetricsDocument da, db;
     da.name = db.name = "golden";
-    da.metrics = stripTiming(a.metrics);
-    db.metrics = stripTiming(b.metrics);
+    da.metrics = withoutHostTime(a.metrics);
+    db.metrics = withoutHostTime(b.metrics);
     EXPECT_EQ(metricsToJson(da), metricsToJson(db));
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -147,7 +148,7 @@ TEST(Harness, SweepCoversGrid)
     SuiteRunner runner(testConfig(), /*jobs=*/2);
     runner.setVerbose(false);
     const SweepResults results =
-        runner.run(suite, {"lru", "srrip", "belady"});
+        runner.runChecked(suite, {"lru", "srrip", "belady"}).results;
     ASSERT_EQ(results.size(), 2u);
     for (const auto &[workload, by_policy] : results) {
         (void)workload;
@@ -167,8 +168,8 @@ TEST(Harness, SweepIsDeterministicAcrossJobCounts)
     SuiteRunner parallel(testConfig(), 4);
     serial.setVerbose(false);
     parallel.setVerbose(false);
-    const auto a = serial.run(suite, {"lru", "drrip"});
-    const auto b = parallel.run(suite, {"lru", "drrip"});
+    const auto a = serial.runChecked(suite, {"lru", "drrip"}).results;
+    const auto b = parallel.runChecked(suite, {"lru", "drrip"}).results;
     for (const auto &[workload, by_policy] : a) {
         for (const auto &[policy, result] : by_policy) {
             EXPECT_EQ(result.core.cycles,
@@ -534,7 +535,7 @@ TEST_F(HarnessFailpoint, SweepDeadlinePreemptsUnstartedCells)
     expectConsistentAccounting(report);
 }
 
-TEST(Harness, LegacyRunReturnsTheSurvivors)
+TEST(Harness, SweepResultsHoldOnlyTheSurvivors)
 {
     std::vector<std::shared_ptr<Workload>> suite = {
         std::make_shared<MiniWorkload>("mini"),
@@ -542,12 +543,16 @@ TEST(Harness, LegacyRunReturnsTheSurvivors)
     };
     SuiteRunner runner(testConfig(), 1);
     runner.setVerbose(false);
-    ::testing::internal::CaptureStderr();
-    const SweepResults results = runner.run(suite, {"lru"});
-    const std::string log = ::testing::internal::GetCapturedStderr();
+    const SweepReport report = runner.runChecked(suite, {"lru"});
+    const SweepResults &results = report.results;
     ASSERT_EQ(results.size(), 1u);
     EXPECT_TRUE(results.count("mini"));
-    EXPECT_NE(log.find("exploder"), std::string::npos);
+    ASSERT_EQ(report.failed(), 1u);
+    const auto failed = std::find_if(
+        report.outcomes.begin(), report.outcomes.end(),
+        [](const CellOutcome &o) { return !o.ok; });
+    ASSERT_NE(failed, report.outcomes.end());
+    EXPECT_EQ(failed->workload, "exploder");
 }
 
 } // namespace

@@ -195,7 +195,8 @@ TEST(Integration, AllSixGapKernelsSimulateUnderAllPaperPolicies)
     std::vector<std::string> policies = {"lru"};
     for (const auto &p : paperPolicies())
         policies.push_back(p);
-    const SweepResults results = runner.run(suite, policies);
+    const SweepResults results =
+        runner.runChecked(suite, policies).results;
     ASSERT_EQ(results.size(), 6u);
     for (const auto &[workload, by_policy] : results) {
         ASSERT_EQ(by_policy.size(), 7u) << workload;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -424,6 +425,68 @@ TEST(SweepMetrics, FailedCellsAreCounted)
         runner.runChecked(suite, {"lru", "no_such_policy"});
     EXPECT_EQ(report.metrics.counter("sweep.cells_ok"), 1u);
     EXPECT_EQ(report.metrics.counter("sweep.cells_failed"), 1u);
+}
+
+/**
+ * The host-time rule strips exactly what the one writer of the sim.*
+ * gauges emits, at any prefix, plus a sweep's per-cell wall_ms gauges
+ * and its cell wall-time histogram; it keeps every counter, whatever
+ * its name, and every simulated gauge and histogram.
+ */
+TEST(HostTime, StrippingRemovesExactlyTheHostTimeMetrics)
+{
+    using namespace std::chrono_literals;
+    const auto t0 = HostTimes::Clock::now();
+    const HostTimes times{.start = t0,
+                          .end = t0 + 2s,
+                          .firstInstruction = t0 + 250ms,
+                          .measureStart = t0 + 1500ms,
+                          .instructions = 4'000'000};
+    MetricsRegistry host;
+    setThroughputGauges(host, "", times);
+    setThroughputGauges(host, "core1", times);
+    host.setGauge("cell.bfs.lru.wall_ms", 12.5);
+    host.setHistogram("sweep.cell_wall_ms",
+                      MetricsRegistry::HistogramSnapshot{10, 1, {1, 0}});
+
+    std::vector<std::string> written;
+    for (const auto &[path, value] : host.gauges())
+        written.push_back(path);
+    const std::vector<std::string> expected = {
+        "cell.bfs.lru.wall_ms",
+        "core1.sim.measure_wall_seconds",
+        "core1.sim.setup_wall_seconds",
+        "core1.sim.throughput_mips",
+        "core1.sim.wall_seconds",
+        "core1.sim.warmup_wall_seconds",
+        "sim.measure_wall_seconds",
+        "sim.setup_wall_seconds",
+        "sim.throughput_mips",
+        "sim.wall_seconds",
+        "sim.warmup_wall_seconds",
+    };
+    EXPECT_EQ(written, expected);
+    EXPECT_DOUBLE_EQ(host.gauge("sim.wall_seconds"), 2.0);
+    EXPECT_DOUBLE_EQ(host.gauge("sim.measure_wall_seconds"), 0.5);
+    EXPECT_DOUBLE_EQ(host.gauge("sim.warmup_wall_seconds"), 1.5);
+    EXPECT_DOUBLE_EQ(host.gauge("sim.setup_wall_seconds"), 0.25);
+    EXPECT_DOUBLE_EQ(host.gauge("sim.throughput_mips"), 2.0);
+
+    MetricsRegistry simulated;
+    simulated.setCounter("core.instructions", 4'000'000);
+    simulated.setCounter("odd.wall_seconds", 3);
+    simulated.setCounter("odd.throughput_mips", 4);
+    simulated.setCounter("sweep.cell_wall_ms", 5);
+    simulated.setGauge("derived.mpki_llc", 1.5);
+    simulated.setGauge("cell.bfs.lru.derived.ipc", 0.7);
+    simulated.setHistogram("llc.reuse",
+                           MetricsRegistry::HistogramSnapshot{4, 2, {1, 1}});
+
+    MetricsRegistry all = simulated;
+    all.merge(host);
+    for (const auto &[path, value] : host.gauges())
+        EXPECT_TRUE(isHostTimePath(path)) << path;
+    EXPECT_EQ(withoutHostTime(all), simulated);
 }
 
 } // anonymous namespace

@@ -588,11 +588,10 @@ cmdCorun(const Args &args)
         std::printf("weighted speedup: %.3f  fairness: %.3f\n",
                     report.weightedSpeedup, report.fairness);
     }
-    std::printf("wall-clock: %.1f ms (%.1f simulated MIPS)\n", wall_ms,
-                report.throughputMips);
-
     MetricsRegistry metrics;
     report.exportMetrics(metrics);
+    std::printf("wall-clock: %.1f ms (%.1f simulated MIPS)\n", wall_ms,
+                metrics.gauge("sim.throughput_mips"));
     printProfileSummary(metrics);
     return emitMetricsJson(args, "corun:" + policy, wall_ms, metrics);
 }
@@ -664,9 +663,9 @@ cmdReplay(const Args &args)
                      reader_or.status().message().c_str());
         return 1;
     }
+    const auto start = HostTimes::Clock::now();
     Simulator sim(cfg);
     std::uint64_t replayed = 0;
-    const WallTimer timer;
     if (Status s = reader_or.value()->replayInto(sim, &replayed);
         !s.ok()) {
         std::fprintf(stderr,
@@ -675,28 +674,23 @@ cmdReplay(const Args &args)
                      s.message().c_str());
         return 1;
     }
-    const double wall_ms = timer.elapsedMs();
-    const double mips = wall_ms > 0.0
-        ? static_cast<double>(sim.instructionsConsumed()) /
-          (wall_ms * 1000.0)
-        : 0.0;
+    MetricsRegistry metrics;
+    setThroughputGauges(metrics, "",
+                        {.start = start,
+                         .end = HostTimes::Clock::now(),
+                         .firstInstruction = sim.firstInstructionAt(),
+                         .measureStart = sim.barrierOpenedAt(),
+                         .instructions = sim.instructionsConsumed()});
+    const double wall_ms = metrics.gauge("sim.wall_seconds") * 1000.0;
     std::fprintf(stderr, "replayed %llu records in %.2f s "
                  "(%.1f simulated MIPS)\n",
                  static_cast<unsigned long long>(replayed),
-                 wall_ms / 1000.0, mips);
+                 wall_ms / 1000.0, metrics.gauge("sim.throughput_mips"));
     sim.warnIfWarmupUnfinished("trace '" + path + "'");
     const SimResult r = sim.result();
     printSimResult(r, std::cout);
-    MetricsRegistry metrics;
     r.exportMetrics(metrics);
     metrics.setCounter("replay.records", replayed);
-    const double secs = wall_ms / 1000.0;
-    const double measure =
-        std::min(std::max(sim.measureWallSeconds(), 0.0), secs);
-    metrics.setGauge("sim.wall_seconds", secs);
-    metrics.setGauge("sim.warmup_wall_seconds", secs - measure);
-    metrics.setGauge("sim.measure_wall_seconds", measure);
-    metrics.setGauge("sim.throughput_mips", mips);
     printProfileSummary(metrics);
     return emitMetricsJson(args, "replay:" + args.get("policy", "lru"),
                            wall_ms, metrics);

@@ -313,20 +313,15 @@ runChild(Fn &&child_fn, double kill_after_s, int kill_signo,
     return WIFEXITED(status) ? WEXITSTATUS(status) : kExitDriverBug;
 }
 
-/** Drop run-dependent noise so metric trees compare byte-for-byte. */
+/**
+ * Drop run-dependent noise so metric trees compare byte-for-byte: the
+ * host-time metrics (isHostTimePath), and the sweep counters that
+ * record how a result was reached (attempts, restores, executed and
+ * cancelled cells), which differ between a resumed and a clean run.
+ */
 MetricsRegistry
 stripNondeterministic(const MetricsRegistry &in)
 {
-    auto is_wall = [](const std::string &path) {
-        for (const char *suffix :
-             {".wall_ms", "wall_seconds", ".throughput_mips"}) {
-            const std::size_t n = std::strlen(suffix);
-            if (path.size() >= n &&
-                path.compare(path.size() - n, n, suffix) == 0)
-                return true;
-        }
-        return false;
-    };
     MetricsRegistry out;
     for (const auto &[path, value] : in.counters()) {
         if (path == "sweep.attempts_total" ||
@@ -338,11 +333,11 @@ stripNondeterministic(const MetricsRegistry &in)
         out.setCounter(path, value);
     }
     for (const auto &[path, value] : in.gauges()) {
-        if (!is_wall(path))
+        if (!isHostTimePath(path))
             out.setGauge(path, value);
     }
     for (const auto &[path, snapshot] : in.histograms()) {
-        if (path != "sweep.cell_wall_ms")
+        if (!isHostTimePath(path))
             out.setHistogram(path, snapshot);
     }
     return out;

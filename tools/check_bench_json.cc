@@ -15,25 +15,18 @@
  * scaled estimates no smaller than their raw sibling counters, and an
  * estimated miss rate in [0, 1].
  *
- * With --baseline it additionally compares one gauge (default
- * sim.throughput_mips) against a committed baseline document and
- * flags a drop beyond --tolerance-pct (default 10). --warn-only
- * reports the regression but keeps the exit code 0 — the perf-smoke
- * CI job uses that, since shared runners are noisy.
+ * fig7 documents must show OPT headroom: on every workload Belady's
+ * LLC demand misses are at most LRU's, and on at least one strictly
+ * fewer.
  *
- * usage: check_bench_json [--baseline FILE] [--gauge NAME]
- *                         [--tolerance-pct N] [--warn-only]
- *                         FILE [FILE ...]
- * exit codes: 0 all valid (and within tolerance, or --warn-only);
- *             1 any invalid, unreadable, or regressed.
+ * usage: check_bench_json FILE [FILE ...]
+ * exit codes: 0 all valid; 1 any invalid or unreadable.
  */
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "stats/metrics.hh"
 
@@ -41,22 +34,21 @@ using namespace cachescope;
 
 namespace {
 
-/** @return the gauge's value, or NaN if the document lacks it. */
-double
-gaugeValue(const MetricsDocument &doc, const std::string &name)
+bool
+endsWith(const std::string &path, const std::string &suffix)
 {
-    const auto &gauges = doc.metrics.gauges();
-    const auto it = gauges.find(name);
-    return it == gauges.end()
-        ? std::nan("")
-        : it->second;
+    return path.size() >= suffix.size() &&
+           path.compare(path.size() - suffix.size(), suffix.size(),
+                        suffix) == 0;
 }
 
 /**
  * @return a description of every schema violation in @p doc beyond the
  * basic envelope (empty when the document is clean): non-finite
- * gauges, and co-run trees whose per-core subtrees are missing or
- * whose LLC attribution slices fail to sum to the shared totals.
+ * gauges, malformed profile and set-sampling subtrees, co-run trees
+ * whose per-core subtrees are missing or whose LLC attribution slices
+ * fail to sum to the shared totals, and fig7 documents without OPT
+ * headroom.
  */
 std::string
 contentProblems(const MetricsDocument &doc)
@@ -68,7 +60,9 @@ contentProblems(const MetricsDocument &doc)
         problems += what;
     };
 
-    for (const auto &[path, value] : doc.metrics.gauges()) {
+    const auto &counters = doc.metrics.counters();
+    const auto &gauges = doc.metrics.gauges();
+    for (const auto &[path, value] : gauges) {
         if (!std::isfinite(value))
             complain("gauge '" + path + "' is not finite");
     }
@@ -81,17 +75,12 @@ contentProblems(const MetricsDocument &doc)
     // profiled simulation that saw no LLC demand access means the
     // bench mis-ran) and carry both contrast groups.
     {
-        const auto &counters = doc.metrics.counters();
-        const auto &gauges = doc.metrics.gauges();
         const std::string marker = "profile.sample_rate";
         std::size_t gap_trees = 0;
         std::size_t spec_trees = 0;
         for (const auto &[path, rate] : counters) {
-            if (path.size() < marker.size() ||
-                path.compare(path.size() - marker.size(), marker.size(),
-                             marker) != 0) {
+            if (!endsWith(path, marker))
                 continue;
-            }
             const std::string prefix =
                 path.substr(0, path.size() - sizeof("sample_rate") + 1);
             if (rate == 0)
@@ -148,15 +137,10 @@ contentProblems(const MetricsDocument &doc)
     // aggregates do not — the error gauge finite (globally enforced
     // above) and the estimated miss rate a probability.
     {
-        const auto &counters = doc.metrics.counters();
-        const auto &gauges = doc.metrics.gauges();
         const std::string marker = "sampled.sample_rate";
         for (const auto &[path, rate] : counters) {
-            if (path.size() < marker.size() ||
-                path.compare(path.size() - marker.size(), marker.size(),
-                             marker) != 0) {
+            if (!endsWith(path, marker))
                 continue;
-            }
             const std::string prefix =
                 path.substr(0, path.size() - sizeof("sample_rate") + 1);
             if (rate == 0)
@@ -225,14 +209,10 @@ contentProblems(const MetricsDocument &doc)
 
     // Every "corun.num_cores" counter marks one co-run tree rooted at
     // its prefix; validate that tree's per-core schema.
-    const auto &counters = doc.metrics.counters();
     const std::string marker = "corun.num_cores";
     for (const auto &[path, num_cores] : counters) {
-        if (path.size() < marker.size() ||
-            path.compare(path.size() - marker.size(), marker.size(),
-                         marker) != 0) {
+        if (!endsWith(path, marker))
             continue;
-        }
         const std::string prefix =
             path.substr(0, path.size() - marker.size());
         for (std::uint64_t i = 0; i < num_cores; ++i) {
@@ -270,6 +250,51 @@ contentProblems(const MetricsDocument &doc)
             }
         }
     }
+
+    // fig7 (OPT headroom): every "<workload>.belady." tree has an LRU
+    // twin. Belady is the offline optimum, so its LLC demand misses
+    // can be no more than LRU's, and it must remove at least one miss
+    // somewhere, or the figure shows no headroom at all.
+    if (doc.name == "fig7") {
+        const auto demand_misses = [&counters](const std::string &tree)
+            -> std::optional<std::uint64_t> {
+            const auto load = counters.find(tree + ".llc.misses.load");
+            const auto store = counters.find(tree + ".llc.misses.store");
+            if (load == counters.end() || store == counters.end())
+                return std::nullopt;
+            return load->second + store->second;
+        };
+        const std::string opt_marker = ".belady.llc.misses.load";
+        std::size_t workloads = 0;
+        std::size_t with_headroom = 0;
+        for (const auto &[path, value] : counters) {
+            if (!endsWith(path, opt_marker))
+                continue;
+            const std::string workload =
+                path.substr(0, path.size() - opt_marker.size());
+            const auto opt = demand_misses(workload + ".belady");
+            const auto lru = demand_misses(workload + ".lru");
+            if (!opt || !lru) {
+                complain("fig7 workload '" + workload +
+                         "' lacks belady or lru LLC miss counters");
+                continue;
+            }
+            ++workloads;
+            if (*opt > *lru) {
+                complain("fig7 workload '" + workload +
+                         "': belady LLC demand misses " +
+                         std::to_string(*opt) + " exceed lru's " +
+                         std::to_string(*lru));
+            }
+            with_headroom += *opt < *lru;
+        }
+        if (workloads == 0) {
+            complain("fig7 has no workload with belady and lru trees");
+        } else if (with_headroom == 0) {
+            complain("fig7: belady removes no LLC demand miss on any "
+                     "workload (no OPT headroom)");
+        }
+    }
     return problems;
 }
 
@@ -278,62 +303,14 @@ contentProblems(const MetricsDocument &doc)
 int
 main(int argc, char **argv)
 {
-    std::string baseline_path;
-    std::string gauge = "sim.throughput_mips";
-    double tolerance_pct = 10.0;
-    bool warn_only = false;
-    std::vector<const char *> files;
-
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", arg);
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (std::strcmp(arg, "--baseline") == 0)
-            baseline_path = next();
-        else if (std::strcmp(arg, "--gauge") == 0)
-            gauge = next();
-        else if (std::strcmp(arg, "--tolerance-pct") == 0)
-            tolerance_pct = std::atof(next());
-        else if (std::strcmp(arg, "--warn-only") == 0)
-            warn_only = true;
-        else
-            files.push_back(arg);
-    }
-    if (files.empty()) {
-        std::fprintf(stderr,
-                     "usage: %s [--baseline FILE] [--gauge NAME] "
-                     "[--tolerance-pct N] [--warn-only] FILE "
-                     "[FILE ...]\n",
-                     argv[0]);
+    if (argc < 2) {
+        std::fprintf(stderr, "usage: %s FILE [FILE ...]\n", argv[0]);
         return 1;
     }
 
-    double baseline_value = std::nan("");
-    if (!baseline_path.empty()) {
-        auto doc_or = readMetricsJsonFile(baseline_path);
-        if (!doc_or.ok()) {
-            std::fprintf(stderr, "baseline %s: %s\n",
-                         baseline_path.c_str(),
-                         doc_or.status().message().c_str());
-            return 1;
-        }
-        baseline_value = gaugeValue(doc_or.value(), gauge);
-        if (!std::isfinite(baseline_value) || baseline_value <= 0.0) {
-            std::fprintf(stderr,
-                         "baseline %s: gauge '%s' missing or not a "
-                         "positive finite number\n",
-                         baseline_path.c_str(), gauge.c_str());
-            return 1;
-        }
-    }
-
     int bad = 0;
-    for (const char *file : files) {
+    for (int i = 1; i < argc; ++i) {
+        const char *file = argv[i];
         auto doc_or = readMetricsJsonFile(file);
         if (!doc_or.ok()) {
             std::fprintf(stderr, "%s: %s\n", file,
@@ -366,30 +343,6 @@ main(int argc, char **argv)
                     doc.metrics.counters().size(),
                     doc.metrics.gauges().size(),
                     doc.metrics.histograms().size());
-
-        if (!std::isfinite(baseline_value))
-            continue;
-        const double value = gaugeValue(doc, gauge);
-        if (!std::isfinite(value)) {
-            std::fprintf(stderr, "%s: gauge '%s' missing\n", file,
-                         gauge.c_str());
-            ++bad;
-            continue;
-        }
-        const double change_pct =
-            (value - baseline_value) / baseline_value * 100.0;
-        std::printf("%s: %s = %.2f vs baseline %.2f (%+.1f%%)\n", file,
-                    gauge.c_str(), value, baseline_value, change_pct);
-        if (change_pct < -tolerance_pct) {
-            std::fprintf(stderr,
-                         "%s: %s REGRESSION: %.2f is %.1f%% below "
-                         "baseline %.2f (tolerance %.0f%%)%s\n",
-                         file, gauge.c_str(), value, -change_pct,
-                         baseline_value, tolerance_pct,
-                         warn_only ? " [warn-only]" : "");
-            if (!warn_only)
-                ++bad;
-        }
     }
     return bad == 0 ? 0 : 1;
 }
