@@ -25,6 +25,15 @@ namespace {
  */
 constexpr unsigned kQuickScale = 18;
 
+/**
+ * Smallest OPT miss reduction, as a share of LRU's misses, for which
+ * the recovered columns are printed. Below it the ratio's denominator
+ * is a handful of misses (one, for sssp at the quick scale), so the
+ * ratio reads as a large gain or loss while measuring noise; the
+ * columns print "-" instead.
+ */
+constexpr double kMinHeadroomShare = 0.01;
+
 } // anonymous namespace
 
 int
@@ -61,11 +70,17 @@ main()
             static_cast<double>(lru.llc.demandMisses());
         const double headroom =
             lru_misses - static_cast<double>(opt.llc.demandMisses());
-        auto recovered = [&](const SimResult &r) {
-            if (headroom <= 0.0)
-                return 0.0;
-            return (lru_misses -
-                    static_cast<double>(r.llc.demandMisses())) / headroom;
+        const bool has_headroom =
+            headroom >= kMinHeadroomShare * lru_misses && headroom > 0.0;
+        auto add_recovered = [&](const SimResult &r) {
+            if (!has_headroom) {
+                table.addCell("-");
+                return;
+            }
+            table.addNumber((lru_misses -
+                             static_cast<double>(r.llc.demandMisses())) /
+                                headroom,
+                            3);
         };
 
         table.newRow();
@@ -73,8 +88,8 @@ main()
         table.addNumber(lru_misses, 0);
         table.addNumber(static_cast<double>(opt.llc.demandMisses()), 0);
         table.addNumber(headroom / std::max(lru_misses, 1.0), 3);
-        table.addNumber(recovered(hawkeye), 3);
-        table.addNumber(recovered(ship), 3);
+        add_recovered(hawkeye);
+        add_recovered(ship);
         std::fprintf(stderr, "  %-12s done\n", workload->name().c_str());
     }
 

@@ -38,7 +38,9 @@ class BoundedCapture : public InstructionSink
     bool
     wantsMore() const override
     {
-        return writer.recordsWritten() < budget;
+        // A writer that hit an I/O error drops records, so its count
+        // stops growing; stop on the error too or the loop never ends.
+        return writer.status().ok() && writer.recordsWritten() < budget;
     }
 
   private:
@@ -67,7 +69,11 @@ main(int argc, char **argv)
         TraceWriter writer(path);
         BoundedCapture capture(writer, records);
         workload.run(capture);
-        writer.onEnd();
+        if (Status s = writer.finish(); !s.ok()) {
+            std::fprintf(stderr, "capture failed: %s\n",
+                         s.message().c_str());
+            return 1;
+        }
     }
 
     // 2. Inspect.

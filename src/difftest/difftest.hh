@@ -12,7 +12,7 @@
  *     reference implementation (LRU, SRRIP);
  *  2. OPT dominance — Belady's optimal-with-bypass hit count bounds
  *     every registered policy's on the same stream;
- *  3. trace round-trip — write -> read -> write of the stream as a v2
+ *  3. trace round-trip — write -> read -> write of the stream as a v3
  *     trace preserves every record and produces byte-identical files;
  *  4. conservation — the exported metrics tree of a full Simulator run
  *     obeys the hierarchy's flow-conservation laws (e.g. LLC accesses

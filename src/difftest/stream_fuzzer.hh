@@ -9,7 +9,7 @@
  * working sets (hot/cold interleaving that flips DIP/DRRIP duels), and
  * prefetch-friendly strides punctuated by pollution (prefetch-fill
  * bookkeeping). Streams are ordinary TraceRecord vectors, so every
- * failing input can be written out as a v2 trace and replayed bit-for-
+ * failing input can be written out as a v3 trace and replayed bit-for-
  * bit by the normal tooling.
  *
  * Everything is a pure function of the seed: the same (seed, length,

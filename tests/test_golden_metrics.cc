@@ -52,6 +52,14 @@ constexpr std::uint64_t kBeladyGoldenDigest = 0x57043968fd13c734ull;
 constexpr std::uint64_t kFastSweepGoldenDigest = 0x955dbec35ca67cbeull;
 
 /**
+ * Pinned digest of kOtherPolicies on the plain grid, computed before
+ * the replacement policies' shared building blocks (set dueling,
+ * strided set choice, RRPV victim search, OPTgen chassis) were folded
+ * into one copy each; the refactor must reproduce it bit-for-bit.
+ */
+constexpr std::uint64_t kOtherPoliciesGoldenDigest = 0xc7f038eac2a2882cull;
+
+/**
  * The sweep grid: two synthetic kernels with distinct access-pattern
  * classes (cyclic thrash, skewed hot/cold) over a shrunken hierarchy,
  * crossed with policies covering every devirtualized hit-update fast
@@ -60,6 +68,15 @@ constexpr std::uint64_t kFastSweepGoldenDigest = 0x955dbec35ca67cbeull;
  */
 const std::vector<std::string> kGoldenPolicies = {
     "lru", "fifo", "nru", "srrip", "drrip", "ship",
+};
+
+/**
+ * Every registered policy kGoldenPolicies leaves out: the remaining
+ * baselines, the bimodal and dueling insertion policies, and the
+ * learned predictors (OPTgen-trained and perceptron).
+ */
+const std::vector<std::string> kOtherPolicies = {
+    "plru", "random", "bip", "brrip", "dip", "hawkeye", "glider", "mpppb",
 };
 
 /** The fast-sweep grid: the same policies plus the Belady oracle. */
@@ -131,7 +148,8 @@ struct GoldenCase
  * Belady cell pins the injected-policy path (two passes, oracle
  * policy handed to the simulator) and the fast-sweep grid pins the
  * functional-warmup hand-over and LLC set-sampling, including
- * Belady's all-functional first pass.
+ * Belady's all-functional first pass. The other-policies grid pins
+ * every remaining registered policy on the plain config.
  */
 const std::vector<GoldenCase> &
 goldenCases()
@@ -140,6 +158,7 @@ goldenCases()
         {"plain", kGoldenPolicies, false, kGoldenDigest},
         {"belady", {"belady"}, false, kBeladyGoldenDigest},
         {"fast-sweep", kFastSweepPolicies, true, kFastSweepGoldenDigest},
+        {"other-policies", kOtherPolicies, false, kOtherPoliciesGoldenDigest},
     };
     return cases;
 }
