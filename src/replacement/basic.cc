@@ -5,42 +5,24 @@
 
 #include "replacement/basic.hh"
 
-#include <algorithm>
-
 #include "util/intmath.hh"
-#include "util/logging.hh"
 
 namespace cachescope {
-
-namespace {
-
-std::size_t
-lineIndex(const CacheGeometry &g, std::uint32_t set, std::uint32_t way)
-{
-    return static_cast<std::size_t>(set) * g.numWays + way;
-}
-
-} // anonymous namespace
 
 // ---------------------------------------------------------------- LRU --
 
 LruPolicy::LruPolicy(const CacheGeometry &geometry)
-    : ReplacementPolicy(geometry),
-      lastUse(static_cast<std::size_t>(geometry.numSets) * geometry.numWays,
-              0)
+    : ReplacementPolicy(geometry), lastUse(numLines(), 0)
 {}
 
 std::uint32_t
 LruPolicy::findVictim(std::uint32_t set, Pc, Addr, AccessType)
 {
+    const std::uint64_t *stamps = &lastUse[lineIndex(set, 0)];
     std::uint32_t victim = 0;
-    std::uint64_t oldest = ~std::uint64_t{0};
-    for (std::uint32_t w = 0; w < geom.numWays; ++w) {
-        const std::uint64_t t = lastUse[lineIndex(geom, set, w)];
-        if (t < oldest) {
-            oldest = t;
+    for (std::uint32_t w = 1; w < geom.numWays; ++w) {
+        if (stamps[w] < stamps[victim])
             victim = w;
-        }
     }
     return victim;
 }
@@ -49,44 +31,23 @@ void
 LruPolicy::update(std::uint32_t set, std::uint32_t way, Pc, Addr, AccessType,
                   bool)
 {
-    lastUse[lineIndex(geom, set, way)] = ++clock;
+    touchHit(set, way);
 }
 
 std::uint64_t
 LruPolicy::timestamp(std::uint32_t set, std::uint32_t way) const
 {
-    return lastUse[lineIndex(geom, set, way)];
+    return lastUse[lineIndex(set, way)];
 }
 
 // --------------------------------------------------------------- FIFO --
-
-FifoPolicy::FifoPolicy(const CacheGeometry &geometry)
-    : ReplacementPolicy(geometry),
-      fillTime(static_cast<std::size_t>(geometry.numSets) * geometry.numWays,
-               0)
-{}
-
-std::uint32_t
-FifoPolicy::findVictim(std::uint32_t set, Pc, Addr, AccessType)
-{
-    std::uint32_t victim = 0;
-    std::uint64_t oldest = ~std::uint64_t{0};
-    for (std::uint32_t w = 0; w < geom.numWays; ++w) {
-        const std::uint64_t t = fillTime[lineIndex(geom, set, w)];
-        if (t < oldest) {
-            oldest = t;
-            victim = w;
-        }
-    }
-    return victim;
-}
 
 void
 FifoPolicy::update(std::uint32_t set, std::uint32_t way, Pc, Addr, AccessType,
                    bool hit)
 {
     if (!hit)
-        fillTime[lineIndex(geom, set, way)] = ++clock;
+        touchHit(set, way);
 }
 
 // ------------------------------------------------------------- Random --
@@ -109,20 +70,19 @@ RandomPolicy::update(std::uint32_t, std::uint32_t, Pc, Addr, AccessType, bool)
 
 NruPolicy::NruPolicy(const CacheGeometry &geometry)
     : ReplacementPolicy(geometry),
-      referenced(static_cast<std::size_t>(geometry.numSets) *
-                 geometry.numWays, 0)
+      referenced(numLines(), 0)
 {}
 
 std::uint32_t
 NruPolicy::findVictim(std::uint32_t set, Pc, Addr, AccessType)
 {
     for (std::uint32_t w = 0; w < geom.numWays; ++w) {
-        if (!referenced[lineIndex(geom, set, w)])
+        if (!referenced[lineIndex(set, w)])
             return w;
     }
     // Everything referenced: clear the set's bits and take way 0.
     for (std::uint32_t w = 0; w < geom.numWays; ++w)
-        referenced[lineIndex(geom, set, w)] = 0;
+        referenced[lineIndex(set, w)] = 0;
     return 0;
 }
 
@@ -130,7 +90,7 @@ void
 NruPolicy::update(std::uint32_t set, std::uint32_t way, Pc, Addr, AccessType,
                   bool)
 {
-    referenced[lineIndex(geom, set, way)] = 1;
+    referenced[lineIndex(set, way)] = 1;
 }
 
 // ---------------------------------------------------------- Tree-PLRU --

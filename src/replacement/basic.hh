@@ -21,7 +21,9 @@ namespace cachescope {
 /**
  * True LRU via per-line access timestamps (64-bit, never wraps in
  * practice). Writebacks refresh recency exactly like demand accesses,
- * matching ChampSim's baseline lru module.
+ * matching ChampSim's baseline lru module. The victim is the first
+ * way holding the set's strictly oldest stamp; FIFO, BIP and DIP
+ * reuse the stamps and this search with their own stamping rules.
  */
 class LruPolicy : public ReplacementPolicy
 {
@@ -37,15 +39,25 @@ class LruPolicy : public ReplacementPolicy
     std::uint64_t timestamp(std::uint32_t set, std::uint32_t way) const;
 
     /**
-     * Non-virtual hit-path shortcut: identical to update(hit=true),
-     * which refreshes the line's recency stamp regardless of access
-     * type. Called directly by the cache's devirtualized fast path.
+     * Stamp (set, way) most recently used. Also the non-virtual
+     * hit-path shortcut: identical to LruPolicy::update(hit=true),
+     * called directly by the cache's devirtualized fast path.
      */
     void
     touchHit(std::uint32_t set, std::uint32_t way)
     {
-        lastUse[static_cast<std::size_t>(set) * geom.numWays + way] =
-            ++clock;
+        lastUse[lineIndex(set, way)] = ++clock;
+    }
+
+  protected:
+    /**
+     * Stamp (set, way) strictly older than every live line (LRU-position
+     * insertion): it is replaced next unless re-referenced first.
+     */
+    void
+    makeOldest(std::uint32_t set, std::uint32_t way)
+    {
+        lastUse[lineIndex(set, way)] = 0;
     }
 
   private:
@@ -53,20 +65,17 @@ class LruPolicy : public ReplacementPolicy
     std::vector<std::uint64_t> lastUse; // [set * ways + way]
 };
 
-/** FIFO: evict the line that was filled earliest; hits do not promote. */
-class FifoPolicy : public ReplacementPolicy
+/**
+ * FIFO: evict the line that was filled earliest; hits do not promote.
+ * LRU's stamps and victim search, stamped at fill time only.
+ */
+class FifoPolicy : public LruPolicy
 {
   public:
-    explicit FifoPolicy(const CacheGeometry &geometry);
+    using LruPolicy::LruPolicy;
 
-    std::uint32_t findVictim(std::uint32_t set, Pc pc, Addr block_addr,
-                             AccessType type) override;
     void update(std::uint32_t set, std::uint32_t way, Pc pc, Addr block_addr,
                 AccessType type, bool hit) override;
-
-  private:
-    std::uint64_t clock = 0;
-    std::vector<std::uint64_t> fillTime;
 };
 
 /** Uniform-random victim selection (seed-deterministic). */
@@ -106,7 +115,7 @@ class NruPolicy : public ReplacementPolicy
     void
     markReferenced(std::uint32_t set, std::uint32_t way)
     {
-        referenced[static_cast<std::size_t>(set) * geom.numWays + way] = 1;
+        referenced[lineIndex(set, way)] = 1;
     }
 
   private:

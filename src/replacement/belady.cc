@@ -34,8 +34,7 @@ FutureOracle::nextUseAfter(Addr block_addr, std::uint64_t pos)
 BeladyPolicy::BeladyPolicy(const CacheGeometry &geometry,
                            std::shared_ptr<FutureOracle> oracle)
     : ReplacementPolicy(geometry), oracle(std::move(oracle)),
-      resident(static_cast<std::size_t>(geometry.numSets) * geometry.numWays,
-               kInvalidAddr)
+      resident(numLines(), kInvalidAddr)
 {
     CS_ASSERT(this->oracle != nullptr, "BeladyPolicy needs a FutureOracle");
 }
@@ -47,8 +46,7 @@ BeladyPolicy::findVictim(std::uint32_t set, Pc, Addr, AccessType)
     std::uint32_t victim = 0;
     std::uint64_t farthest = 0;
     for (std::uint32_t w = 0; w < geom.numWays; ++w) {
-        const Addr block =
-            resident[static_cast<std::size_t>(set) * geom.numWays + w];
+        const Addr block = resident[lineIndex(set, w)];
         if (block == kInvalidAddr)
             return w;
         const std::uint64_t next = oracle->nextUseAfter(block, pos);
@@ -71,11 +69,8 @@ BeladyPolicy::update(std::uint32_t set, std::uint32_t way, Pc,
     // demand accesses advance the position.
     if (type != AccessType::Writeback)
         ++pos;
-    if (!hit) {
-        resident[static_cast<std::size_t>(set) * geom.numWays + way] =
-            block_addr;
-    }
-    (void)type;
+    if (!hit)
+        resident[lineIndex(set, way)] = block_addr;
 }
 
 } // namespace cachescope

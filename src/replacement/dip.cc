@@ -5,131 +5,35 @@
 
 #include "replacement/dip.hh"
 
-#include <cstdio>
-
 #include "stats/metrics.hh"
-#include "util/logging.hh"
 
 namespace cachescope {
-
-LruInsertionBase::LruInsertionBase(const CacheGeometry &geometry)
-    : ReplacementPolicy(geometry),
-      lastUse(static_cast<std::size_t>(geometry.numSets) * geometry.numWays,
-              0)
-{}
-
-std::uint32_t
-LruInsertionBase::findVictim(std::uint32_t set, Pc, Addr, AccessType)
-{
-    std::uint32_t victim = 0;
-    std::uint64_t oldest = ~std::uint64_t{0};
-    for (std::uint32_t w = 0; w < geom.numWays; ++w) {
-        const std::uint64_t t =
-            lastUse[static_cast<std::size_t>(set) * geom.numWays + w];
-        if (t < oldest) {
-            oldest = t;
-            victim = w;
-        }
-    }
-    return victim;
-}
 
 void
 LruInsertionBase::update(std::uint32_t set, std::uint32_t way, Pc, Addr,
                          AccessType type, bool hit)
 {
-    std::uint64_t &stamp =
-        lastUse[static_cast<std::size_t>(set) * geom.numWays + way];
-    if (hit) {
-        stamp = ++clock;
-        return;
-    }
-    if (insertAtMru(set, type)) {
-        stamp = ++clock;
-    } else {
-        // LRU-position insertion: the line stays the set's oldest, so
-        // it is replaced next unless it is re-referenced first. A zero
-        // stamp is strictly older than every live timestamp.
-        stamp = 0;
-    }
-    if (type != AccessType::Writeback)
+    if (hit || insertAtMru(set))
+        touchHit(set, way);
+    else
+        makeOldest(set, way);
+    if (!hit && type != AccessType::Writeback)
         onMissFill(set);
 }
 
-DipPolicy::DipPolicy(const CacheGeometry &geometry)
-    : LruInsertionBase(geometry)
+std::string
+DipPolicy::debugState() const
 {
-    leaderStride = geom.numSets / (2 * kLeadersPerPolicy);
-    if (leaderStride == 0)
-        leaderStride = 1;
-}
-
-DipPolicy::SetRole
-DipPolicy::roleOf(std::uint32_t set) const
-{
-    if (set % leaderStride != 0)
-        return SetRole::Follower;
-    const std::uint32_t leader_idx = set / leaderStride;
-    if (leader_idx >= 2 * kLeadersPerPolicy)
-        return SetRole::Follower;
-    return leader_idx % 2 == 0 ? SetRole::LruLeader : SetRole::BipLeader;
-}
-
-bool
-DipPolicy::bipInsertAtMru()
-{
-    return ++fillCount % BipPolicy::kEpsilon == 0;
-}
-
-bool
-DipPolicy::insertAtMru(std::uint32_t set, AccessType)
-{
-    switch (roleOf(set)) {
-      case SetRole::LruLeader:
-        return true;
-      case SetRole::BipLeader:
-        return bipInsertAtMru();
-      case SetRole::Follower:
-        // High PSEL = BIP leaders missing more = follow LRU insertion.
-        return pselCounter > kPselMax / 2 ? true : bipInsertAtMru();
-    }
-    panic("unreachable DIP set role");
+    return duel.debugState("lru", "bip");
 }
 
 void
-DipPolicy::onMissFill(std::uint32_t set)
+DipPolicy::exportMetrics(MetricsRegistry &metrics,
+                         const std::string &prefix) const
 {
-    switch (roleOf(set)) {
-      case SetRole::LruLeader:
-        if (pselCounter > 0)
-            --pselCounter;
-        break;
-      case SetRole::BipLeader:
-        if (pselCounter < kPselMax)
-            ++pselCounter;
-        break;
-      case SetRole::Follower:
-        break;
-    }
+    metrics.setGauge(prefix + ".psel", duel.psel());
+    metrics.setGauge(prefix + ".follower_mode_lru",
+                     duel.followersUseStatic() ? 1.0 : 0.0);
 }
 
 } // namespace cachescope
-
-std::string
-cachescope::DipPolicy::debugState() const
-{
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "psel=%u/%u follower_mode=%s",
-                  pselCounter, kPselMax,
-                  pselCounter > kPselMax / 2 ? "lru" : "bip");
-    return buf;
-}
-
-void
-cachescope::DipPolicy::exportMetrics(MetricsRegistry &metrics,
-                                     const std::string &prefix) const
-{
-    metrics.setGauge(prefix + ".psel", pselCounter);
-    metrics.setGauge(prefix + ".follower_mode_lru",
-                     pselCounter > kPselMax / 2 ? 1.0 : 0.0);
-}

@@ -15,87 +15,77 @@
 #define CACHESCOPE_REPLACEMENT_DIP_HH
 
 #include <cstdint>
-#include <vector>
 
-#include "replacement/replacement_policy.hh"
+#include "replacement/basic.hh"
+#include "replacement/building_blocks.hh"
 
 namespace cachescope {
 
 /**
- * Timestamp-LRU base with a pluggable insertion position, shared by
- * BIP and DIP.
+ * LRU's stamps with a pluggable insertion position, shared by BIP and
+ * DIP: a fill lands at MRU or at the LRU position.
  */
-class LruInsertionBase : public ReplacementPolicy
+class LruInsertionBase : public LruPolicy
 {
   public:
-    explicit LruInsertionBase(const CacheGeometry &geometry);
+    using LruPolicy::LruPolicy;
 
-    std::uint32_t findVictim(std::uint32_t set, Pc pc, Addr block_addr,
-                             AccessType type) override;
     void update(std::uint32_t set, std::uint32_t way, Pc pc, Addr block_addr,
                 AccessType type, bool hit) override;
 
   protected:
     /** @return true to insert at MRU, false to insert at LRU. */
-    virtual bool insertAtMru(std::uint32_t set, AccessType type) = 0;
+    virtual bool insertAtMru(std::uint32_t set) = 0;
 
     /** Hook for DIP's PSEL training on demand-miss fills. */
     virtual void onMissFill(std::uint32_t set) { (void)set; }
-
-  private:
-    std::uint64_t clock = 0;
-    std::vector<std::uint64_t> lastUse;
 };
 
 /** Bimodal Insertion Policy: LRU insertion, 1-in-32 at MRU. */
 class BipPolicy : public LruInsertionBase
 {
   public:
-    static constexpr std::uint32_t kEpsilon = 32;
+    static constexpr std::uint32_t kEpsilon = BimodalThrottle::kEpsilon;
 
-    explicit BipPolicy(const CacheGeometry &geometry)
-        : LruInsertionBase(geometry)
-    {}
+    using LruInsertionBase::LruInsertionBase;
 
   protected:
-    bool
-    insertAtMru(std::uint32_t, AccessType) override
-    {
-        return ++fillCount % kEpsilon == 0;
-    }
+    bool insertAtMru(std::uint32_t) override { return throttle.next(); }
 
   private:
-    std::uint32_t fillCount = 0;
+    BimodalThrottle throttle;
 };
 
 /** Dynamic Insertion Policy: set-dueling LRU-insertion vs BIP. */
 class DipPolicy : public LruInsertionBase
 {
   public:
-    static constexpr std::uint32_t kLeadersPerPolicy = 32;
-    static constexpr std::uint32_t kPselBits = 10;
-    static constexpr std::uint32_t kPselMax = (1u << kPselBits) - 1;
+    static constexpr std::uint32_t kPselMax = SetDuel::kPselMax;
 
-    explicit DipPolicy(const CacheGeometry &geometry);
+    explicit DipPolicy(const CacheGeometry &geometry)
+        : LruInsertionBase(geometry), duel(geometry.numSets)
+    {}
 
-    enum class SetRole : std::uint8_t { LruLeader, BipLeader, Follower };
-    SetRole roleOf(std::uint32_t set) const;
-    std::uint32_t psel() const { return pselCounter; }
+    /** StaticLeader sets insert at MRU (LRU), BimodalLeader sets BIP. */
+    using SetRole = SetDuel::Role;
+    SetRole roleOf(std::uint32_t set) const { return duel.roleOf(set); }
+    std::uint32_t psel() const { return duel.psel(); }
 
     std::string debugState() const override;
     void exportMetrics(MetricsRegistry &metrics,
                        const std::string &prefix) const override;
 
   protected:
-    bool insertAtMru(std::uint32_t set, AccessType type) override;
-    void onMissFill(std::uint32_t set) override;
+    bool
+    insertAtMru(std::uint32_t set) override
+    {
+        return duel.staticInsertion(set);
+    }
+
+    void onMissFill(std::uint32_t set) override { duel.recordMiss(set); }
 
   private:
-    bool bipInsertAtMru();
-
-    std::uint32_t pselCounter = kPselMax / 2;
-    std::uint32_t fillCount = 0;
-    std::uint32_t leaderStride;
+    SetDuel duel;
 };
 
 } // namespace cachescope

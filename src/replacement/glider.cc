@@ -8,31 +8,14 @@
 #include <algorithm>
 
 #include "util/intmath.hh"
-#include "util/logging.hh"
 
 namespace cachescope {
 
 GliderPolicy::GliderPolicy(const CacheGeometry &geometry)
-    : ReplacementPolicy(geometry),
-      lines(static_cast<std::size_t>(geometry.numSets) * geometry.numWays),
-      isvms(kIsvmTables)
+    : OptgenPolicy(geometry), isvms(kIsvmTables),
+      snapshots(kTargetSampledSets)
 {
-    sampleStride = geom.numSets / kTargetSampledSets;
-    if (sampleStride == 0)
-        sampleStride = 1;
     pchr.reserve(kHistoryDepth);
-}
-
-GliderPolicy::LineMeta &
-GliderPolicy::line(std::uint32_t set, std::uint32_t way)
-{
-    return lines[static_cast<std::size_t>(set) * geom.numWays + way];
-}
-
-std::uint8_t
-GliderPolicy::rrpvOf(std::uint32_t set, std::uint32_t way) const
-{
-    return lines[static_cast<std::size_t>(set) * geom.numWays + way].rrpv;
 }
 
 std::uint32_t
@@ -46,13 +29,6 @@ GliderPolicy::weightSlot(Pc pc)
 {
     return static_cast<std::uint32_t>(foldXor(pc >> 2, 4)) &
            (kWeightsPerIsvm - 1);
-}
-
-bool
-GliderPolicy::isSampledSet(std::uint32_t set) const
-{
-    return set % sampleStride == 0 &&
-           set / sampleStride < kTargetSampledSets;
 }
 
 GliderPolicy::HistorySnapshot
@@ -118,106 +94,43 @@ GliderPolicy::predictionSum(Pc pc) const
     return sumOf(snapshotFor(pc));
 }
 
-void
-GliderPolicy::sampleAccess(std::uint32_t set, Pc pc, Addr block_addr)
+GliderPolicy::Verdict
+GliderPolicy::predict(Pc pc)
 {
-    auto it = sampledSets.find(set);
-    if (it == sampledSets.end())
-        it = sampledSets.emplace(set, SampledSet(geom.numWays)).first;
-    SampledSet &s = it->second;
-
-    const std::uint64_t curr = s.optgen.nextQuanta();
-    OptSampler::Entry prev;
-    if (s.sampler.lookup(block_addr, prev) &&
-        curr - prev.lastQuanta < s.optgen.vectorSize()) {
-        const bool opt_hit =
-            s.optgen.accessWithHistory(curr, prev.lastQuanta);
-        auto snap_it = s.snapshots.find(block_addr);
-        if (snap_it != s.snapshots.end())
-            train(snap_it->second, opt_hit);
-    } else {
-        s.optgen.accessFirstTouch(curr);
-    }
-    s.sampler.record(block_addr, curr, pc);
-    s.snapshots[block_addr] = snapshotFor(pc);
-
-    if ((curr & 0x3FF) == 0 && curr >= s.optgen.vectorSize()) {
-        s.sampler.expireBefore(curr - s.optgen.vectorSize());
-        if (s.snapshots.size() > 16 * kOptgenVectorSize)
-            s.snapshots.clear();
-    }
-}
-
-std::uint32_t
-GliderPolicy::findVictim(std::uint32_t set, Pc, Addr, AccessType)
-{
-    for (std::uint32_t w = 0; w < geom.numWays; ++w) {
-        if (line(set, w).rrpv == kMaxRrpv)
-            return w;
-    }
-    std::uint32_t victim = 0;
-    std::uint8_t max_rrpv = 0;
-    for (std::uint32_t w = 0; w < geom.numWays; ++w) {
-        if (line(set, w).rrpv >= max_rrpv) {
-            max_rrpv = line(set, w).rrpv;
-            victim = w;
-        }
-    }
-    // Evicting a predicted-friendly line: detrain its fill context so
-    // the ISVM learns from the misprediction.
-    LineMeta &meta = line(set, victim);
-    if (meta.valid && meta.friendly)
-        train(snapshotFor(meta.fillPc), /*opt_hit=*/false);
-    return victim;
-}
-
-void
-GliderPolicy::update(std::uint32_t set, std::uint32_t way, Pc pc,
-                     Addr block_addr, AccessType type, bool hit)
-{
-    if (type == AccessType::Writeback) {
-        if (!hit) {
-            LineMeta &meta = line(set, way);
-            meta.rrpv = kMaxRrpv;
-            meta.fillPc = pc;
-            meta.friendly = false;
-            meta.valid = true;
-        }
-        return;
-    }
-
-    if (isSampledSet(set))
-        sampleAccess(set, pc, block_addr);
-
     const std::int32_t sum = predictionSum(pc);
     pushHistory(pc);
+    if (sum >= kHighConfidence)
+        return Verdict::Confident;
+    // Low-confidence friendly lines are inserted mid-stack.
+    return sum >= 0 ? Verdict::Friendly : Verdict::Averse;
+}
 
-    LineMeta &meta = line(set, way);
-    const bool friendly = sum >= 0;
+void
+GliderPolicy::trainOnOpt(std::uint32_t slot, Addr block_addr, Pc,
+                         bool opt_hit)
+{
+    const auto &slot_snapshots = snapshots[slot];
+    auto it = slot_snapshots.find(block_addr);
+    if (it != slot_snapshots.end())
+        train(it->second, opt_hit);
+}
 
-    if (hit) {
-        meta.rrpv = friendly ? 0 : kMaxRrpv;
-        meta.fillPc = pc;
-        meta.friendly = friendly;
-        return;
-    }
+void
+GliderPolicy::detrain(Pc fill_pc)
+{
+    // Evicting a predicted-friendly line: detrain its fill context so
+    // the ISVM learns from the misprediction.
+    train(snapshotFor(fill_pc), /*opt_hit=*/false);
+}
 
-    if (sum >= kHighConfidence) {
-        // Confidently friendly: protect and age peers.
-        for (std::uint32_t w = 0; w < geom.numWays; ++w) {
-            if (w != way && line(set, w).rrpv < kMaxRrpv - 1)
-                ++line(set, w).rrpv;
-        }
-        meta.rrpv = 0;
-    } else if (friendly) {
-        // Low-confidence friendly: insert in the middle of the stack.
-        meta.rrpv = kMaxRrpv / 4;
-    } else {
-        meta.rrpv = kMaxRrpv;
-    }
-    meta.fillPc = pc;
-    meta.friendly = friendly;
-    meta.valid = true;
+void
+GliderPolicy::onSampled(std::uint32_t slot, Addr block_addr, Pc pc,
+                        bool expired)
+{
+    auto &slot_snapshots = snapshots[slot];
+    slot_snapshots[block_addr] = snapshotFor(pc);
+    if (expired && slot_snapshots.size() > 16 * kOptgenVectorSize)
+        slot_snapshots.clear();
 }
 
 } // namespace cachescope

@@ -11,7 +11,8 @@
  * against confidence thresholds. This captures cross-PC context that a
  * single-PC counter cannot — and is precisely the mechanism the paper
  * shows collapsing when graph traversals funnel through a handful of
- * PCs with data-dependent behaviour.
+ * PCs with data-dependent behaviour. Everything but the predictor is
+ * the OptgenPolicy chassis.
  */
 
 #ifndef CACHESCOPE_REPLACEMENT_GLIDER_HH
@@ -23,15 +24,12 @@
 #include <vector>
 
 #include "replacement/optgen.hh"
-#include "replacement/replacement_policy.hh"
 
 namespace cachescope {
 
-class GliderPolicy : public ReplacementPolicy
+class GliderPolicy : public OptgenPolicy
 {
   public:
-    static constexpr unsigned kRrpvBits = 3;
-    static constexpr std::uint8_t kMaxRrpv = (1u << kRrpvBits) - 1;
     /** Depth of the PC history register (PCHR). */
     static constexpr std::uint32_t kHistoryDepth = 5;
     /** Weights per ISVM (PCHR entries hash into these). */
@@ -45,33 +43,21 @@ class GliderPolicy : public ReplacementPolicy
     static constexpr std::int32_t kHighConfidence = 30;
     /** Training stops once |sum| exceeds this margin and is correct. */
     static constexpr std::int32_t kTrainingMargin = 60;
-    static constexpr std::uint32_t kTargetSampledSets = 64;
-    static constexpr std::uint32_t kOptgenVectorSize = 128;
 
     explicit GliderPolicy(const CacheGeometry &geometry);
-
-    std::uint32_t findVictim(std::uint32_t set, Pc pc, Addr block_addr,
-                             AccessType type) override;
-    void update(std::uint32_t set, std::uint32_t way, Pc pc, Addr block_addr,
-                AccessType type, bool hit) override;
 
     /** @return the current ISVM output for @p pc with today's history. */
     std::int32_t predictionSum(Pc pc) const;
 
-    bool isSampledSet(std::uint32_t set) const;
-
-    /** Exposed for tests. */
-    std::uint8_t rrpvOf(std::uint32_t set, std::uint32_t way) const;
+  protected:
+    Verdict predict(Pc pc) override;
+    void trainOnOpt(std::uint32_t slot, Addr block_addr, Pc prev_pc,
+                    bool opt_hit) override;
+    void detrain(Pc fill_pc) override;
+    void onSampled(std::uint32_t slot, Addr block_addr, Pc pc,
+                   bool expired) override;
 
   private:
-    struct LineMeta
-    {
-        std::uint8_t rrpv = kMaxRrpv;
-        Pc fillPc = 0;
-        bool friendly = false;
-        bool valid = false;
-    };
-
     /** One ISVM: a small bank of integer weights. */
     struct Isvm
     {
@@ -93,27 +79,14 @@ class GliderPolicy : public ReplacementPolicy
     std::int32_t sumOf(const HistorySnapshot &snap) const;
     void train(const HistorySnapshot &snap, bool opt_hit);
     void pushHistory(Pc pc);
-    void sampleAccess(std::uint32_t set, Pc pc, Addr block_addr);
 
-    LineMeta &line(std::uint32_t set, std::uint32_t way);
-
-    std::uint32_t sampleStride;
-    std::vector<LineMeta> lines;
     std::vector<Isvm> isvms;
     std::vector<Pc> pchr; ///< most recent distinct PCs, front = newest
-
-    struct SampledSet
-    {
-        OptGen optgen;
-        OptSampler sampler;
-        /** Snapshot taken when each tracked line was last accessed. */
-        std::unordered_map<Addr, HistorySnapshot> snapshots;
-
-        explicit SampledSet(std::uint32_t ways)
-            : optgen(ways, kOptgenVectorSize), sampler(8 * kOptgenVectorSize)
-        {}
-    };
-    std::unordered_map<std::uint32_t, SampledSet> sampledSets;
+    /**
+     * Per sampled set (by slot), the snapshot taken when each tracked
+     * line was last accessed.
+     */
+    std::vector<std::unordered_map<Addr, HistorySnapshot>> snapshots;
 };
 
 } // namespace cachescope

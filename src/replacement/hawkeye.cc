@@ -8,32 +8,14 @@
 #include <cstdio>
 
 #include "util/intmath.hh"
-#include "util/logging.hh"
 
 namespace cachescope {
 
 HawkeyePolicy::HawkeyePolicy(const CacheGeometry &geometry)
-    : ReplacementPolicy(geometry),
-      lines(static_cast<std::size_t>(geometry.numSets) * geometry.numWays),
+    : OptgenPolicy(geometry),
       predictor(kPredictorEntries,
                 SatCounter(kPredictorCounterBits, kFriendlyThreshold))
-{
-    sampleStride = geom.numSets / kTargetSampledSets;
-    if (sampleStride == 0)
-        sampleStride = 1;
-}
-
-HawkeyePolicy::LineMeta &
-HawkeyePolicy::line(std::uint32_t set, std::uint32_t way)
-{
-    return lines[static_cast<std::size_t>(set) * geom.numWays + way];
-}
-
-std::uint8_t
-HawkeyePolicy::rrpvOf(std::uint32_t set, std::uint32_t way) const
-{
-    return lines[static_cast<std::size_t>(set) * geom.numWays + way].rrpv;
-}
+{}
 
 std::uint32_t
 HawkeyePolicy::predictorIndex(Pc pc)
@@ -48,17 +30,10 @@ HawkeyePolicy::predictsFriendly(Pc pc) const
     return predictor[predictorIndex(pc)].get() >= kFriendlyThreshold;
 }
 
-bool
-HawkeyePolicy::isSampledSet(std::uint32_t set) const
-{
-    return set % sampleStride == 0 &&
-           set / sampleStride < kTargetSampledSets;
-}
-
 void
-HawkeyePolicy::train(Pc pc, bool opt_hit)
+HawkeyePolicy::trainOnOpt(std::uint32_t, Addr, Pc prev_pc, bool opt_hit)
 {
-    auto &ctr = predictor[predictorIndex(pc)];
+    auto &ctr = predictor[predictorIndex(prev_pc)];
     if (opt_hit)
         ctr.increment();
     else
@@ -66,129 +41,9 @@ HawkeyePolicy::train(Pc pc, bool opt_hit)
 }
 
 void
-HawkeyePolicy::detrain(Pc pc)
+HawkeyePolicy::detrain(Pc fill_pc)
 {
-    predictor[predictorIndex(pc)].decrement();
-}
-
-void
-HawkeyePolicy::sampleAccess(std::uint32_t set, Pc pc, Addr block_addr)
-{
-    auto it = sampledSets.find(set);
-    if (it == sampledSets.end()) {
-        it = sampledSets.emplace(set, SampledSet(geom.numWays)).first;
-    }
-    SampledSet &s = it->second;
-
-    const std::uint64_t curr = s.optgen.nextQuanta();
-    OptSampler::Entry prev;
-    if (s.sampler.lookup(block_addr, prev) &&
-        curr - prev.lastQuanta < s.optgen.vectorSize()) {
-        const bool opt_hit = s.optgen.accessWithHistory(curr,
-                                                        prev.lastQuanta);
-        // OPT's verdict labels the *previous* access's PC: that PC
-        // brought the line in (or kept it), and OPT tells us whether
-        // doing so paid off.
-        train(prev.lastPc, opt_hit);
-    } else {
-        s.optgen.accessFirstTouch(curr);
-    }
-    s.sampler.record(block_addr, curr, pc);
-
-    // Periodically drop sampler entries that fell out of the OPTgen
-    // window so the map stays small.
-    if ((curr & 0x3FF) == 0 && curr >= s.optgen.vectorSize())
-        s.sampler.expireBefore(curr - s.optgen.vectorSize());
-}
-
-std::uint32_t
-HawkeyePolicy::findVictim(std::uint32_t set, Pc pc, Addr, AccessType)
-{
-    // Cache-averse lines (RRPV saturated) go first.
-    for (std::uint32_t w = 0; w < geom.numWays; ++w) {
-        if (line(set, w).rrpv == kMaxRrpv)
-            return w;
-    }
-    // Otherwise evict the oldest cache-friendly line and tell the
-    // predictor it was wrong about that line's PC.
-    std::uint32_t victim = 0;
-    std::uint8_t max_rrpv = 0;
-    for (std::uint32_t w = 0; w < geom.numWays; ++w) {
-        if (line(set, w).rrpv >= max_rrpv) {
-            max_rrpv = line(set, w).rrpv;
-            victim = w;
-        }
-    }
-    (void)pc;
-    LineMeta &meta = line(set, victim);
-    if (meta.valid && meta.friendly)
-        detrain(meta.fillPc);
-    return victim;
-}
-
-void
-HawkeyePolicy::update(std::uint32_t set, std::uint32_t way, Pc pc,
-                      Addr block_addr, AccessType type, bool hit)
-{
-    // Writebacks carry no program behaviour: they do not touch OPTgen
-    // and are inserted cache-averse.
-    if (type == AccessType::Writeback) {
-        if (!hit) {
-            LineMeta &meta = line(set, way);
-            meta.rrpv = kMaxRrpv;
-            meta.fillPc = pc;
-            meta.friendly = false;
-            meta.valid = true;
-        }
-        return;
-    }
-
-    if (isSampledSet(set))
-        sampleAccess(set, pc, block_addr);
-
-    const bool friendly = predictsFriendly(pc);
-    LineMeta &meta = line(set, way);
-
-    if (hit) {
-        meta.rrpv = friendly ? 0 : kMaxRrpv;
-        meta.fillPc = pc;
-        meta.friendly = friendly;
-        return;
-    }
-
-    // Fill path.
-    if (friendly) {
-        // Age the other friendly lines so relative recency among
-        // friendly lines is preserved (RRPV saturates below averse).
-        for (std::uint32_t w = 0; w < geom.numWays; ++w) {
-            if (w != way && line(set, w).rrpv < kMaxRrpv - 1)
-                ++line(set, w).rrpv;
-        }
-        meta.rrpv = 0;
-    } else {
-        meta.rrpv = kMaxRrpv;
-    }
-    meta.fillPc = pc;
-    meta.friendly = friendly;
-    meta.valid = true;
-}
-
-std::uint64_t
-HawkeyePolicy::optgenHits() const
-{
-    std::uint64_t total = 0;
-    for (const auto &[set, s] : sampledSets)
-        total += s.optgen.optHits();
-    return total;
-}
-
-std::uint64_t
-HawkeyePolicy::optgenAccesses() const
-{
-    std::uint64_t total = 0;
-    for (const auto &[set, s] : sampledSets)
-        total += s.optgen.optAccesses();
-    return total;
+    predictor[predictorIndex(fill_pc)].decrement();
 }
 
 std::string

@@ -9,88 +9,52 @@
  * or cache-averse: friendly lines are inserted with RRPV 0 (and age
  * their peers), averse lines with RRPV 7 so they are evicted first.
  * Evicting a friendly line means the predictor was wrong, so the
- * corresponding PC is detrained.
+ * corresponding PC is detrained. Everything but the predictor is the
+ * OptgenPolicy chassis.
  */
 
 #ifndef CACHESCOPE_REPLACEMENT_HAWKEYE_HH
 #define CACHESCOPE_REPLACEMENT_HAWKEYE_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "replacement/optgen.hh"
-#include "replacement/replacement_policy.hh"
 #include "util/sat_counter.hh"
 
 namespace cachescope {
 
-class HawkeyePolicy : public ReplacementPolicy
+class HawkeyePolicy : public OptgenPolicy
 {
   public:
-    static constexpr unsigned kRrpvBits = 3;
-    static constexpr std::uint8_t kMaxRrpv = (1u << kRrpvBits) - 1;
     static constexpr unsigned kPredictorIndexBits = 13;
     static constexpr std::uint32_t kPredictorEntries =
         1u << kPredictorIndexBits;
     static constexpr unsigned kPredictorCounterBits = 3;
     /** Counter value at or above which a PC is considered friendly. */
     static constexpr std::uint32_t kFriendlyThreshold = 4;
-    /** Target number of sampled sets. */
-    static constexpr std::uint32_t kTargetSampledSets = 64;
-    static constexpr std::uint32_t kOptgenVectorSize = 128;
 
     explicit HawkeyePolicy(const CacheGeometry &geometry);
-
-    std::uint32_t findVictim(std::uint32_t set, Pc pc, Addr block_addr,
-                             AccessType type) override;
-    void update(std::uint32_t set, std::uint32_t way, Pc pc, Addr block_addr,
-                AccessType type, bool hit) override;
 
     /** @return true iff the predictor currently calls @p pc friendly. */
     bool predictsFriendly(Pc pc) const;
 
-    /** @return true iff @p set feeds OPTgen. */
-    bool isSampledSet(std::uint32_t set) const;
-
-    /** Exposed for tests. */
-    std::uint8_t rrpvOf(std::uint32_t set, std::uint32_t way) const;
-    std::uint64_t optgenHits() const;
-    std::uint64_t optgenAccesses() const;
-
     std::string debugState() const override;
 
+  protected:
+    Verdict
+    predict(Pc pc) override
+    {
+        return predictsFriendly(pc) ? Verdict::Confident : Verdict::Averse;
+    }
+    void trainOnOpt(std::uint32_t slot, Addr block_addr, Pc prev_pc,
+                    bool opt_hit) override;
+    void detrain(Pc fill_pc) override;
+
   private:
-    struct LineMeta
-    {
-        std::uint8_t rrpv = kMaxRrpv;
-        Pc fillPc = 0;
-        bool friendly = false;
-        bool valid = false;
-    };
-
     static std::uint32_t predictorIndex(Pc pc);
-    void train(Pc pc, bool opt_hit);
-    void detrain(Pc pc);
-    void sampleAccess(std::uint32_t set, Pc pc, Addr block_addr);
 
-    LineMeta &line(std::uint32_t set, std::uint32_t way);
-
-    std::uint32_t sampleStride;
-    std::vector<LineMeta> lines;
     std::vector<SatCounter> predictor;
-
-    /** OPTgen state, allocated lazily per sampled set. */
-    struct SampledSet
-    {
-        OptGen optgen;
-        OptSampler sampler;
-
-        explicit SampledSet(std::uint32_t ways)
-            : optgen(ways, kOptgenVectorSize), sampler(8 * kOptgenVectorSize)
-        {}
-    };
-    std::unordered_map<std::uint32_t, SampledSet> sampledSets;
 };
 
 } // namespace cachescope

@@ -10,39 +10,16 @@
 #include <algorithm>
 
 #include "util/intmath.hh"
-#include "util/logging.hh"
 
 namespace cachescope {
 
 MpppbPolicy::MpppbPolicy(const CacheGeometry &geometry)
     : ReplacementPolicy(geometry),
-      lines(static_cast<std::size_t>(geometry.numSets) * geometry.numWays),
+      sampled(geometry.numSets, kTargetSampledSets),
+      rrpvs(numLines(), kMaxRrpv),
       weights(static_cast<std::size_t>(kNumFeatures) * kTableEntries, 0),
       sampler(static_cast<std::size_t>(kTargetSampledSets) * kSamplerAssoc)
-{
-    sampleStride = geom.numSets / kTargetSampledSets;
-    if (sampleStride == 0)
-        sampleStride = 1;
-}
-
-MpppbPolicy::LineMeta &
-MpppbPolicy::line(std::uint32_t set, std::uint32_t way)
-{
-    return lines[static_cast<std::size_t>(set) * geom.numWays + way];
-}
-
-std::uint8_t
-MpppbPolicy::rrpvOf(std::uint32_t set, std::uint32_t way) const
-{
-    return lines[static_cast<std::size_t>(set) * geom.numWays + way].rrpv;
-}
-
-bool
-MpppbPolicy::isSampledSet(std::uint32_t set) const
-{
-    return set % sampleStride == 0 &&
-           set / sampleStride < kTargetSampledSets;
-}
+{}
 
 void
 MpppbPolicy::pushPath(Pc pc)
@@ -109,7 +86,7 @@ MpppbPolicy::train(const FeatureVec &features, bool reused)
 void
 MpppbPolicy::samplerAccess(std::uint32_t set, Pc pc, Addr block_addr)
 {
-    const std::uint32_t slot = set / sampleStride;
+    const std::uint32_t slot = sampled.slotOf(set);
     SamplerEntry *set_base = &sampler[static_cast<std::size_t>(slot) *
                                       kSamplerAssoc];
     const auto tag = static_cast<std::uint16_t>(
@@ -167,14 +144,8 @@ MpppbPolicy::findVictim(std::uint32_t set, Pc pc, Addr block_addr,
         return kBypassWay;
     }
 
-    while (true) {
-        for (std::uint32_t w = 0; w < geom.numWays; ++w) {
-            if (line(set, w).rrpv == kMaxRrpv)
-                return w;
-        }
-        for (std::uint32_t w = 0; w < geom.numWays; ++w)
-            ++line(set, w).rrpv;
-    }
+    return agingRrpvVictim(&rrpvs[lineIndex(set, 0)], geom.numWays,
+                           kMaxRrpv);
 }
 
 void
@@ -187,7 +158,7 @@ MpppbPolicy::update(std::uint32_t set, std::uint32_t way, Pc pc,
         pushPath(pc);
     }
 
-    LineMeta &meta = line(set, way);
+    std::uint8_t &rrpv = rrpvs[lineIndex(set, way)];
 
     if (hit) {
         // Promotion: strong reuse prediction goes straight to MRU,
@@ -197,24 +168,24 @@ MpppbPolicy::update(std::uint32_t set, std::uint32_t way, Pc pc,
         }
         const std::int32_t sum = predictionSum(pc, block_addr);
         if (sum < kPromoteThreshold)
-            meta.rrpv = 0;
-        else if (meta.rrpv > 0)
-            meta.rrpv = meta.rrpv / 2;
+            rrpv = 0;
+        else if (rrpv > 0)
+            rrpv = rrpv / 2;
         return;
     }
 
     // Placement.
     if (type == AccessType::Writeback) {
-        meta.rrpv = kMaxRrpv - 1;
+        rrpv = kMaxRrpv - 1;
         return;
     }
     const std::int32_t sum = predictionSum(pc, block_addr);
     if (sum >= kDistantThreshold)
-        meta.rrpv = kMaxRrpv;
+        rrpv = kMaxRrpv;
     else if (sum >= kPromoteThreshold)
-        meta.rrpv = kMaxRrpv - 1;
+        rrpv = kMaxRrpv - 1;
     else
-        meta.rrpv = 0;
+        rrpv = 0;
 }
 
 std::string

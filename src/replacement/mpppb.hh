@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "replacement/building_blocks.hh"
 #include "replacement/replacement_policy.hh"
 
 namespace cachescope {
@@ -61,21 +62,20 @@ class MpppbPolicy : public ReplacementPolicy
     /** @return the current perceptron sum for an access context. */
     std::int32_t predictionSum(Pc pc, Addr block_addr) const;
 
-    bool isSampledSet(std::uint32_t set) const;
+    bool isSampledSet(std::uint32_t set) const { return sampled.contains(set); }
 
     /** Exposed for tests. */
-    std::uint8_t rrpvOf(std::uint32_t set, std::uint32_t way) const;
+    std::uint8_t
+    rrpvOf(std::uint32_t set, std::uint32_t way) const
+    {
+        return rrpvs[lineIndex(set, way)];
+    }
     std::uint64_t bypassCount() const { return bypasses; }
 
     std::string debugState() const override;
 
   private:
     using FeatureVec = std::array<std::uint16_t, kNumFeatures>;
-
-    struct LineMeta
-    {
-        std::uint8_t rrpv = kMaxRrpv;
-    };
 
     /** Sampler entry: partial tag + the features live at insertion. */
     struct SamplerEntry
@@ -93,10 +93,8 @@ class MpppbPolicy : public ReplacementPolicy
     void samplerAccess(std::uint32_t set, Pc pc, Addr block_addr);
     void pushPath(Pc pc);
 
-    LineMeta &line(std::uint32_t set, std::uint32_t way);
-
-    std::uint32_t sampleStride;
-    std::vector<LineMeta> lines;
+    StridedSets sampled;
+    std::vector<std::uint8_t> rrpvs;
     /** kNumFeatures tables of kTableEntries signed weights, flattened. */
     std::vector<std::int32_t> weights;
     std::array<Pc, kPathDepth> path{};

@@ -9,6 +9,9 @@
  * liveness interval. It maintains an occupancy vector over the last N
  * access quanta; an access to a line last touched at quantum t is an
  * OPT hit iff occupancy stayed below the associativity in [t, now).
+ *
+ * OptgenPolicy is the chassis both policies build on: everything but
+ * the predictor OPTgen trains.
  */
 
 #ifndef CACHESCOPE_REPLACEMENT_OPTGEN_HH
@@ -18,6 +21,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "replacement/building_blocks.hh"
+#include "replacement/replacement_policy.hh"
 #include "util/types.hh"
 
 namespace cachescope {
@@ -100,6 +105,109 @@ class OptSampler
   private:
     std::uint32_t maxEntries;
     std::unordered_map<Addr, Entry> table;
+};
+
+/**
+ * An OPTgen-trained RRIP policy minus its predictor, shared by Hawkeye
+ * and Glider. It owns the per-line metadata, drives OPTgen on
+ * kTargetSampledSets strided sets, evicts cache-averse lines first
+ * (detraining the predictor when a friendly line must go instead),
+ * inserts writebacks averse and places demand accesses by the
+ * predictor's verdict. Subclasses supply the predictor through the
+ * protected hooks.
+ */
+class OptgenPolicy : public ReplacementPolicy
+{
+  public:
+    static constexpr unsigned kRrpvBits = 3;
+    static constexpr std::uint8_t kMaxRrpv = (1u << kRrpvBits) - 1;
+    /** Target number of sampled sets. */
+    static constexpr std::uint32_t kTargetSampledSets = 64;
+    static constexpr std::uint32_t kOptgenVectorSize = 128;
+
+    explicit OptgenPolicy(const CacheGeometry &geometry);
+
+    std::uint32_t findVictim(std::uint32_t set, Pc pc, Addr block_addr,
+                             AccessType type) final;
+    void update(std::uint32_t set, std::uint32_t way, Pc pc, Addr block_addr,
+                AccessType type, bool hit) final;
+
+    /** @return true iff @p set feeds OPTgen. */
+    bool isSampledSet(std::uint32_t set) const { return sampled.contains(set); }
+
+    /** Exposed for tests. */
+    std::uint8_t
+    rrpvOf(std::uint32_t set, std::uint32_t way) const
+    {
+        return lines[lineIndex(set, way)].rrpv;
+    }
+    std::uint64_t optgenHits() const;
+    std::uint64_t optgenAccesses() const;
+
+  protected:
+    /** The predictor's verdict on a demand access. */
+    enum class Verdict : std::uint8_t {
+        Averse,    ///< inserted and kept at kMaxRrpv: evicted first
+        Friendly,  ///< fills land at kMaxRrpv / 4, hits promote to 0
+        Confident, ///< fills land at 0 and age the other friendly lines
+    };
+
+    /**
+     * Classify a demand access by @p pc. Called once per access, after
+     * OPTgen has seen it when its set is sampled.
+     */
+    virtual Verdict predict(Pc pc) = 0;
+
+    /**
+     * OPT's verdict on a sampled access to @p block_addr: @p opt_hit
+     * says whether OPT would have kept the line since its previous
+     * access, made by @p prev_pc. @p slot numbers the sampled set.
+     */
+    virtual void trainOnOpt(std::uint32_t slot, Addr block_addr,
+                            Pc prev_pc, bool opt_hit) = 0;
+
+    /** A friendly line filled by @p fill_pc is evicted: it was wrong. */
+    virtual void detrain(Pc fill_pc) = 0;
+
+    /**
+     * Called after each sampled access is recorded; @p expired is true
+     * when the sampler has just dropped the entries that fell out of
+     * the OPTgen window.
+     */
+    virtual void
+    onSampled(std::uint32_t slot, Addr block_addr, Pc pc, bool expired)
+    {
+        (void)slot;
+        (void)block_addr;
+        (void)pc;
+        (void)expired;
+    }
+
+  private:
+    struct LineMeta
+    {
+        std::uint8_t rrpv = kMaxRrpv;
+        Pc fillPc = 0;
+        bool friendly = false;
+        bool valid = false;
+    };
+
+    struct SampledSet
+    {
+        OptGen optgen;
+        OptSampler sampler;
+
+        explicit SampledSet(std::uint32_t ways)
+            : optgen(ways, kOptgenVectorSize), sampler(8 * kOptgenVectorSize)
+        {}
+    };
+
+    void sampleAccess(std::uint32_t set, Pc pc, Addr block_addr);
+
+    StridedSets sampled;
+    std::vector<LineMeta> lines;
+    /** OPTgen state per sampled set, indexed by its slot. */
+    std::vector<SampledSet> sampledSets;
 };
 
 } // namespace cachescope

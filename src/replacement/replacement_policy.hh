@@ -132,6 +132,20 @@ class ReplacementPolicy
     }
 
   protected:
+    /** @return the number of lines, the size of a per-line array. */
+    std::size_t
+    numLines() const
+    {
+        return static_cast<std::size_t>(geom.numSets) * geom.numWays;
+    }
+
+    /** @return the index of (set, way) in a per-line array. */
+    std::size_t
+    lineIndex(std::uint32_t set, std::uint32_t way) const
+    {
+        return static_cast<std::size_t>(set) * geom.numWays + way;
+    }
+
     CacheGeometry geom;
 
   private:

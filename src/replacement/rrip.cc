@@ -5,44 +5,17 @@
 
 #include "replacement/rrip.hh"
 
-#include <cstdio>
-
-#include "util/logging.hh"
-
 namespace cachescope {
 
 RripBase::RripBase(const CacheGeometry &geometry)
-    : ReplacementPolicy(geometry),
-      rrpvs(static_cast<std::size_t>(geometry.numSets) * geometry.numWays,
-            kMaxRrpv)
+    : ReplacementPolicy(geometry), rrpvs(numLines(), kMaxRrpv)
 {}
-
-std::uint8_t &
-RripBase::rrpv(std::uint32_t set, std::uint32_t way)
-{
-    return rrpvs[static_cast<std::size_t>(set) * geom.numWays + way];
-}
-
-std::uint8_t
-RripBase::rrpvOf(std::uint32_t set, std::uint32_t way) const
-{
-    return rrpvs[static_cast<std::size_t>(set) * geom.numWays + way];
-}
 
 std::uint32_t
 RripBase::findVictim(std::uint32_t set, Pc, Addr, AccessType)
 {
-    // Find a line predicted "distant"; age the whole set until one
-    // exists. Ties break toward the lowest way, as in the reference
-    // implementation.
-    while (true) {
-        for (std::uint32_t w = 0; w < geom.numWays; ++w) {
-            if (rrpv(set, w) == kMaxRrpv)
-                return w;
-        }
-        for (std::uint32_t w = 0; w < geom.numWays; ++w)
-            ++rrpv(set, w);
-    }
+    return agingRrpvVictim(&rrpvs[lineIndex(set, 0)], geom.numWays,
+                           kMaxRrpv);
 }
 
 void
@@ -51,86 +24,12 @@ RripBase::update(std::uint32_t set, std::uint32_t way, Pc, Addr,
 {
     if (hit) {
         // Hit-priority (HP) variant: promote to near-immediate.
-        rrpv(set, way) = 0;
+        touchHit(set, way);
         return;
     }
-    rrpv(set, way) = insertionRrpv(set, type);
+    rrpvs[lineIndex(set, way)] = insertionRrpv(set);
     if (type != AccessType::Writeback)
         onMissFill(set);
 }
 
-DrripPolicy::DrripPolicy(const CacheGeometry &geometry) : RripBase(geometry)
-{
-    // Spread each policy's leaders evenly across the index space. With
-    // fewer than 2 * kLeadersPerPolicy sets every set becomes a leader
-    // alternating between the two policies.
-    leaderStride = geom.numSets / (2 * kLeadersPerPolicy);
-    if (leaderStride == 0)
-        leaderStride = 1;
-}
-
-DrripPolicy::SetRole
-DrripPolicy::roleOf(std::uint32_t set) const
-{
-    if (set % leaderStride != 0)
-        return SetRole::Follower;
-    const std::uint32_t leader_idx = set / leaderStride;
-    if (leader_idx >= 2 * kLeadersPerPolicy)
-        return SetRole::Follower;
-    return (leader_idx % 2 == 0) ? SetRole::SrripLeader
-                                 : SetRole::BrripLeader;
-}
-
-std::uint8_t
-DrripPolicy::brripInsertion()
-{
-    if (++fillCount % BrripPolicy::kEpsilon == 0)
-        return kMaxRrpv - 1;
-    return kMaxRrpv;
-}
-
-std::uint8_t
-DrripPolicy::insertionRrpv(std::uint32_t set, AccessType)
-{
-    switch (roleOf(set)) {
-      case SetRole::SrripLeader:
-        return kMaxRrpv - 1;
-      case SetRole::BrripLeader:
-        return brripInsertion();
-      case SetRole::Follower:
-        // PSEL above midpoint means BRRIP leaders missed more, so
-        // followers use SRRIP insertion (and vice versa).
-        return pselCounter > kPselMax / 2 ? kMaxRrpv - 1 : brripInsertion();
-    }
-    panic("unreachable DRRIP set role");
-}
-
-void
-DrripPolicy::onMissFill(std::uint32_t set)
-{
-    // A miss in a leader set is a vote against that leader's policy.
-    switch (roleOf(set)) {
-      case SetRole::SrripLeader:
-        if (pselCounter > 0)
-            --pselCounter;
-        break;
-      case SetRole::BrripLeader:
-        if (pselCounter < kPselMax)
-            ++pselCounter;
-        break;
-      case SetRole::Follower:
-        break;
-    }
-}
-
 } // namespace cachescope
-
-std::string
-cachescope::DrripPolicy::debugState() const
-{
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "psel=%u/%u follower_mode=%s",
-                  pselCounter, kPselMax,
-                  pselCounter > kPselMax / 2 ? "srrip" : "brrip");
-    return buf;
-}

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "replacement/building_blocks.hh"
 #include "replacement/replacement_policy.hh"
 
 namespace cachescope {
@@ -36,7 +37,11 @@ class RripBase : public ReplacementPolicy
                 AccessType type, bool hit) override;
 
     /** Exposed for tests. */
-    std::uint8_t rrpvOf(std::uint32_t set, std::uint32_t way) const;
+    std::uint8_t
+    rrpvOf(std::uint32_t set, std::uint32_t way) const
+    {
+        return rrpvs[lineIndex(set, way)];
+    }
 
     /**
      * Non-virtual hit-path shortcut: identical to update(hit=true),
@@ -47,7 +52,7 @@ class RripBase : public ReplacementPolicy
     void
     touchHit(std::uint32_t set, std::uint32_t way)
     {
-        rrpvs[static_cast<std::size_t>(set) * geom.numWays + way] = 0;
+        rrpvs[lineIndex(set, way)] = 0;
     }
 
   protected:
@@ -55,13 +60,10 @@ class RripBase : public ReplacementPolicy
      * @return the RRPV a newly filled line should get.
      * @param set the set being filled (DRRIP duels per set).
      */
-    virtual std::uint8_t insertionRrpv(std::uint32_t set,
-                                       AccessType type) = 0;
+    virtual std::uint8_t insertionRrpv(std::uint32_t set) = 0;
 
     /** Hook for DRRIP's PSEL training: called on every demand miss fill. */
     virtual void onMissFill(std::uint32_t set) { (void)set; }
-
-    std::uint8_t &rrpv(std::uint32_t set, std::uint32_t way);
 
   private:
     std::vector<std::uint8_t> rrpvs;
@@ -71,15 +73,10 @@ class RripBase : public ReplacementPolicy
 class SrripPolicy : public RripBase
 {
   public:
-    explicit SrripPolicy(const CacheGeometry &geometry) : RripBase(geometry)
-    {}
+    using RripBase::RripBase;
 
   protected:
-    std::uint8_t
-    insertionRrpv(std::uint32_t, AccessType) override
-    {
-        return kMaxRrpv - 1;
-    }
+    std::uint8_t insertionRrpv(std::uint32_t) override { return kMaxRrpv - 1; }
 };
 
 /**
@@ -90,22 +87,19 @@ class SrripPolicy : public RripBase
 class BrripPolicy : public RripBase
 {
   public:
-    static constexpr std::uint32_t kEpsilon = 32;
+    static constexpr std::uint32_t kEpsilon = BimodalThrottle::kEpsilon;
 
-    explicit BrripPolicy(const CacheGeometry &geometry) : RripBase(geometry)
-    {}
+    using RripBase::RripBase;
 
   protected:
     std::uint8_t
-    insertionRrpv(std::uint32_t, AccessType) override
+    insertionRrpv(std::uint32_t) override
     {
-        if (++fillCount % kEpsilon == 0)
-            return kMaxRrpv - 1;
-        return kMaxRrpv;
+        return throttle.next() ? kMaxRrpv - 1 : kMaxRrpv;
     }
 
   private:
-    std::uint32_t fillCount = 0;
+    BimodalThrottle throttle;
 };
 
 /**
@@ -118,30 +112,34 @@ class BrripPolicy : public RripBase
 class DrripPolicy : public RripBase
 {
   public:
-    /** Leader sets per constituent policy. */
-    static constexpr std::uint32_t kLeadersPerPolicy = 32;
-    static constexpr std::uint32_t kPselBits = 10;
-    static constexpr std::uint32_t kPselMax = (1u << kPselBits) - 1;
+    static constexpr std::uint32_t kPselMax = SetDuel::kPselMax;
 
-    explicit DrripPolicy(const CacheGeometry &geometry);
+    explicit DrripPolicy(const CacheGeometry &geometry)
+        : RripBase(geometry), duel(geometry.numSets)
+    {}
 
-    /** Exposed for tests. */
-    enum class SetRole : std::uint8_t { SrripLeader, BrripLeader, Follower };
-    SetRole roleOf(std::uint32_t set) const;
-    std::uint32_t psel() const { return pselCounter; }
+    /** StaticLeader sets insert as SRRIP, BimodalLeader sets as BRRIP. */
+    using SetRole = SetDuel::Role;
+    SetRole roleOf(std::uint32_t set) const { return duel.roleOf(set); }
+    std::uint32_t psel() const { return duel.psel(); }
 
-    std::string debugState() const override;
+    std::string
+    debugState() const override
+    {
+        return duel.debugState("srrip", "brrip");
+    }
 
   protected:
-    std::uint8_t insertionRrpv(std::uint32_t set, AccessType type) override;
-    void onMissFill(std::uint32_t set) override;
+    std::uint8_t
+    insertionRrpv(std::uint32_t set) override
+    {
+        return duel.staticInsertion(set) ? kMaxRrpv - 1 : kMaxRrpv;
+    }
+
+    void onMissFill(std::uint32_t set) override { duel.recordMiss(set); }
 
   private:
-    std::uint8_t brripInsertion();
-
-    std::uint32_t pselCounter = kPselMax / 2;
-    std::uint32_t fillCount = 0;
-    std::uint32_t leaderStride;
+    SetDuel duel;
 };
 
 } // namespace cachescope

@@ -7,21 +7,17 @@
 
 #include <cstdio>
 
+#include "replacement/building_blocks.hh"
 #include "util/intmath.hh"
 
 namespace cachescope {
 
 ShipPolicy::ShipPolicy(const CacheGeometry &geometry)
     : ReplacementPolicy(geometry),
-      lines(static_cast<std::size_t>(geometry.numSets) * geometry.numWays),
+      rrpvs(numLines(), kMaxRrpv),
+      lines(numLines()),
       shct(kShctEntries, SatCounter(kShctCounterBits, 1))
 {}
-
-ShipPolicy::LineMeta &
-ShipPolicy::line(std::uint32_t set, std::uint32_t way)
-{
-    return lines[static_cast<std::size_t>(set) * geom.numWays + way];
-}
 
 std::uint32_t
 ShipPolicy::signatureOf(Pc pc)
@@ -36,33 +32,22 @@ ShipPolicy::shctValue(std::uint32_t signature) const
     return shct[signature & (kShctEntries - 1)].get();
 }
 
-std::uint8_t
-ShipPolicy::rrpvOf(std::uint32_t set, std::uint32_t way) const
-{
-    return lines[static_cast<std::size_t>(set) * geom.numWays + way].rrpv;
-}
-
 std::uint32_t
 ShipPolicy::findVictim(std::uint32_t set, Pc, Addr, AccessType)
 {
-    while (true) {
-        for (std::uint32_t w = 0; w < geom.numWays; ++w) {
-            if (line(set, w).rrpv == kMaxRrpv)
-                return w;
-        }
-        for (std::uint32_t w = 0; w < geom.numWays; ++w)
-            ++line(set, w).rrpv;
-    }
+    return agingRrpvVictim(&rrpvs[lineIndex(set, 0)], geom.numWays,
+                           kMaxRrpv);
 }
 
 void
 ShipPolicy::update(std::uint32_t set, std::uint32_t way, Pc pc, Addr,
                    AccessType type, bool hit)
 {
-    LineMeta &meta = line(set, way);
+    LineMeta &meta = lines[lineIndex(set, way)];
+    std::uint8_t &rrpv = rrpvs[lineIndex(set, way)];
 
     if (hit) {
-        meta.rrpv = 0;
+        rrpv = 0;
         // Positive training: the inserting signature produced a hit.
         // Writeback hits carry no reuse information and do not train.
         if (type != AccessType::Writeback && meta.trainable &&
@@ -85,12 +70,12 @@ ShipPolicy::update(std::uint32_t set, std::uint32_t way, Pc pc, Addr,
 
     if (type == AccessType::Writeback) {
         // Dirty data arriving from above has unknown reuse; insert long.
-        meta.rrpv = kMaxRrpv - 1;
+        rrpv = kMaxRrpv - 1;
     } else if (shct[sig].isMin()) {
         // Signature has a history of zero reuse: predict dead on arrival.
-        meta.rrpv = kMaxRrpv;
+        rrpv = kMaxRrpv;
     } else {
-        meta.rrpv = kMaxRrpv - 1;
+        rrpv = kMaxRrpv - 1;
     }
 }
 

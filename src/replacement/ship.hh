@@ -47,21 +47,24 @@ class ShipPolicy : public ReplacementPolicy
 
     /** Exposed for tests. */
     std::uint32_t shctValue(std::uint32_t signature) const;
-    std::uint8_t rrpvOf(std::uint32_t set, std::uint32_t way) const;
+    std::uint8_t
+    rrpvOf(std::uint32_t set, std::uint32_t way) const
+    {
+        return rrpvs[lineIndex(set, way)];
+    }
 
     std::string debugState() const override;
 
   private:
+    /** Training state of a line; its RRPV lives in rrpvs. */
     struct LineMeta
     {
-        std::uint8_t rrpv = kMaxRrpv;
         std::uint32_t signature = 0;
         bool outcome = false;    ///< line produced at least one hit
         bool trainable = false;  ///< filled by a demand access (not WB)
     };
 
-    LineMeta &line(std::uint32_t set, std::uint32_t way);
-
+    std::vector<std::uint8_t> rrpvs;
     std::vector<LineMeta> lines;
     std::vector<SatCounter> shct;
 };

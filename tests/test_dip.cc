@@ -55,8 +55,8 @@ TEST(Dip, LeaderRolesPartitionSets)
     int lru = 0, bip = 0, followers = 0;
     for (std::uint32_t s = 0; s < 2048; ++s) {
         switch (dip.roleOf(s)) {
-          case DipPolicy::SetRole::LruLeader: ++lru; break;
-          case DipPolicy::SetRole::BipLeader: ++bip; break;
+          case DipPolicy::SetRole::StaticLeader: ++lru; break;
+          case DipPolicy::SetRole::BimodalLeader: ++bip; break;
           case DipPolicy::SetRole::Follower: ++followers; break;
         }
     }
@@ -71,9 +71,9 @@ TEST(Dip, PselTracksLeaderMisses)
     const std::uint32_t initial = dip.psel();
     std::uint32_t lru_leader = 0, bip_leader = 0;
     for (std::uint32_t s = 0; s < 2048; ++s) {
-        if (dip.roleOf(s) == DipPolicy::SetRole::LruLeader)
+        if (dip.roleOf(s) == DipPolicy::SetRole::StaticLeader)
             lru_leader = s;
-        if (dip.roleOf(s) == DipPolicy::SetRole::BipLeader)
+        if (dip.roleOf(s) == DipPolicy::SetRole::BimodalLeader)
             bip_leader = s;
     }
     for (int i = 0; i < 100; ++i)
@@ -100,7 +100,7 @@ TEST(Dip, LruModeBehavesLikeLru)
     DipPolicy dip({2048, 2, 64});
     std::uint32_t bip_leader = 0, follower = 1;
     for (std::uint32_t s = 0; s < 2048; ++s) {
-        if (dip.roleOf(s) == DipPolicy::SetRole::BipLeader)
+        if (dip.roleOf(s) == DipPolicy::SetRole::BimodalLeader)
             bip_leader = s;
         if (dip.roleOf(s) == DipPolicy::SetRole::Follower)
             follower = s;

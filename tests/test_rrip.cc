@@ -80,8 +80,8 @@ TEST(Drrip, LeaderSetsExistForBothPolicies)
     int srrip_leaders = 0, brrip_leaders = 0, followers = 0;
     for (std::uint32_t s = 0; s < 2048; ++s) {
         switch (drrip.roleOf(s)) {
-          case DrripPolicy::SetRole::SrripLeader: ++srrip_leaders; break;
-          case DrripPolicy::SetRole::BrripLeader: ++brrip_leaders; break;
+          case DrripPolicy::SetRole::StaticLeader: ++srrip_leaders; break;
+          case DrripPolicy::SetRole::BimodalLeader: ++brrip_leaders; break;
           case DrripPolicy::SetRole::Follower: ++followers; break;
         }
     }
@@ -98,7 +98,7 @@ TEST(Drrip, PselMovesOnLeaderMisses)
     // Find one SRRIP leader set and miss in it repeatedly.
     std::uint32_t srrip_leader = 0;
     for (std::uint32_t s = 0; s < 2048; ++s) {
-        if (drrip.roleOf(s) == DrripPolicy::SetRole::SrripLeader) {
+        if (drrip.roleOf(s) == DrripPolicy::SetRole::StaticLeader) {
             srrip_leader = s;
             break;
         }
@@ -109,7 +109,7 @@ TEST(Drrip, PselMovesOnLeaderMisses)
 
     std::uint32_t brrip_leader = 0;
     for (std::uint32_t s = 0; s < 2048; ++s) {
-        if (drrip.roleOf(s) == DrripPolicy::SetRole::BrripLeader) {
+        if (drrip.roleOf(s) == DrripPolicy::SetRole::BimodalLeader) {
             brrip_leader = s;
             break;
         }
@@ -133,7 +133,7 @@ TEST(Drrip, FollowersTrackWinningLeader)
     // Bias PSEL high (BRRIP leaders miss a lot -> SRRIP wins).
     std::uint32_t brrip_leader = 0;
     for (std::uint32_t s = 0; s < 2048; ++s) {
-        if (drrip.roleOf(s) == DrripPolicy::SetRole::BrripLeader) {
+        if (drrip.roleOf(s) == DrripPolicy::SetRole::BimodalLeader) {
             brrip_leader = s;
             break;
         }
@@ -151,7 +151,7 @@ TEST(Drrip, WritebackFillsDoNotTrainPsel)
     DrripPolicy drrip({2048, 4, 64});
     std::uint32_t srrip_leader = 0;
     for (std::uint32_t s = 0; s < 2048; ++s) {
-        if (drrip.roleOf(s) == DrripPolicy::SetRole::SrripLeader) {
+        if (drrip.roleOf(s) == DrripPolicy::SetRole::StaticLeader) {
             srrip_leader = s;
             break;
         }
@@ -167,9 +167,9 @@ TEST(Drrip, TinyCacheEverySetIsLeader)
     // Fewer sets than 2 * kLeadersPerPolicy: stride clamps to 1 and the
     // first sets alternate roles.
     DrripPolicy drrip(smallGeometry(8, 4));
-    EXPECT_EQ(drrip.roleOf(0), DrripPolicy::SetRole::SrripLeader);
-    EXPECT_EQ(drrip.roleOf(1), DrripPolicy::SetRole::BrripLeader);
-    EXPECT_EQ(drrip.roleOf(2), DrripPolicy::SetRole::SrripLeader);
+    EXPECT_EQ(drrip.roleOf(0), DrripPolicy::SetRole::StaticLeader);
+    EXPECT_EQ(drrip.roleOf(1), DrripPolicy::SetRole::BimodalLeader);
+    EXPECT_EQ(drrip.roleOf(2), DrripPolicy::SetRole::StaticLeader);
 }
 
 } // namespace
